@@ -38,15 +38,45 @@ def git_sha() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+def src_dirty() -> bool | None:
+    """Whether ``src/`` differs from the commit (None outside a checkout).
+
+    A document from a dirty tree measured code that :func:`git_sha` does
+    not name.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--", "src"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            cwd=Path(__file__).resolve().parent.parent,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return bool(out.stdout.strip()) if out.returncode == 0 else None
+
+
 def bench_env() -> dict:
-    """Environment fingerprint embedded in every benchmark document."""
+    """Environment fingerprint embedded in every benchmark document.
+
+    ``cpu_count`` is the machine's; ``usable_cpus`` is what this process
+    may actually run on (its affinity mask), the number that bounds any
+    parallel speedup.
+    """
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "usable_cpus": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        ),
         "git_sha": git_sha(),
+        "dirty": src_dirty(),
     }
 
 

@@ -123,7 +123,6 @@ def lesk_cell(
     megakernel: bool = False,
     max_slots: int | None = None,
     faults=None,
-    compact_interval: int | None = None,
 ) -> list:
     """Replicated LESK elections for one table cell.
 
@@ -137,11 +136,11 @@ def lesk_cell(
     megakernel instead (:func:`~repro.experiments.harness
     .replicate_megakernel`): oblivious adversaries run the fused fast
     path, everything else delegates back to the batched engine inside the
-    engine, so the flag is always safe to set.
+    engine, and both consume one stream, so the flag never changes a
+    result bit.
 
     *faults* (a :class:`~repro.resilience.faults.FaultModel`) applies on
-    both engine paths; *compact_interval* (dead-rep compaction) is a
-    batched-engine perf knob, ignored by the scalar loop.
+    both engine paths.
     """
     if _use_batched(batched, adversary):
         budget = (
@@ -157,7 +156,6 @@ def lesk_cell(
             *path,
             max_slots=budget,
             faults=faults,
-            compact_interval=compact_interval,
         )
     return replicate(
         lambda s: elect_leader(
@@ -188,7 +186,6 @@ def lesu_cell(
     megakernel: bool = False,
     max_slots: int | None = None,
     faults=None,
-    compact_interval: int | None = None,
 ) -> list:
     """Replicated LESU (Algorithm 2, unknown eps/T) elections for one cell.
 
@@ -211,7 +208,6 @@ def lesu_cell(
             *path,
             max_slots=budget,
             faults=faults,
-            compact_interval=compact_interval,
         )
     return replicate(
         lambda s: elect_leader(
@@ -242,7 +238,6 @@ def estimation_cell(
     megakernel: bool = False,
     max_slots: int | None = None,
     faults=None,
-    compact_interval: int | None = None,
 ) -> list:
     """Replicated standalone ``Estimation(2)`` runs (halt on Single).
 
@@ -263,7 +258,6 @@ def estimation_cell(
             *path,
             max_slots=budget,
             faults=faults,
-            compact_interval=compact_interval,
         )
     return replicate(
         lambda s: simulate_uniform_fast(
@@ -293,7 +287,6 @@ def sweep_cell(
     megakernel: bool = False,
     max_slots: int | None = None,
     faults=None,
-    compact_interval: int | None = None,
 ) -> list:
     """Replicated Nakano--Olariu doubling-sweep (CD) baseline runs."""
     budget = max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesk")
@@ -308,7 +301,6 @@ def sweep_cell(
             *path,
             max_slots=budget,
             faults=faults,
-            compact_interval=compact_interval,
         )
     return replicate(
         lambda s: simulate_uniform_fast(
@@ -337,7 +329,6 @@ def nocd_cell(
     megakernel: bool = False,
     max_slots: int | None = None,
     faults=None,
-    compact_interval: int | None = None,
 ) -> list:
     """Replicated no-CD repeated-sweep baseline runs."""
     budget = max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesk")
@@ -352,7 +343,6 @@ def nocd_cell(
             *path,
             max_slots=budget,
             faults=faults,
-            compact_interval=compact_interval,
         )
     return replicate(
         lambda s: simulate_uniform_fast(
@@ -387,10 +377,10 @@ class CellSpec:
     ``path`` is the cell's seed-derivation path exactly as passed to the
     unsharded cell functions.  ``faults`` composes a model-level
     :class:`~repro.resilience.faults.FaultModel` into the cell (applied on
-    both engine paths); ``compact_interval`` enables dead-rep compaction
-    on the batched engine; ``megakernel`` routes the batched path through
+    both engine paths); ``megakernel`` routes the batched path through
     the slot-blocked megakernel engine (ineligible configurations
-    delegate back to the batched engine inside the engine).
+    delegate back to the batched engine inside the engine; the results
+    are the same bits either way).
     """
 
     kind: str
@@ -405,7 +395,6 @@ class CellSpec:
     megakernel: bool = False
     max_slots: int | None = None
     faults: object | None = None  # resilience.faults.FaultModel
-    compact_interval: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in CELL_KINDS:
@@ -415,10 +404,6 @@ class CellSpec:
             )
         if self.reps < 1:
             raise ConfigurationError(f"reps must be >= 1, got {self.reps}")
-        if self.compact_interval is not None and self.compact_interval < 1:
-            raise ConfigurationError(
-                f"compact_interval must be >= 1, got {self.compact_interval}"
-            )
 
     def to_jsonable(self) -> dict:
         """Plain-data form that round-trips exactly through JSON.
@@ -445,8 +430,6 @@ class CellSpec:
             data["max_slots"] = self.max_slots
         if self.faults is not None:
             data["faults"] = self.faults.to_jsonable()
-        if self.compact_interval is not None:
-            data["compact_interval"] = self.compact_interval
         return data
 
     @classmethod
@@ -493,7 +476,6 @@ def run_shard(item: tuple) -> tuple[list, dict]:
             megakernel=spec.megakernel,
             max_slots=spec.max_slots,
             faults=spec.faults,
-            compact_interval=spec.compact_interval,
         )
     return results, shard.to_jsonable()
 
@@ -520,7 +502,6 @@ def run_cell_direct(spec: CellSpec) -> list:
         megakernel=spec.megakernel,
         max_slots=spec.max_slots,
         faults=spec.faults,
-        compact_interval=spec.compact_interval,
     )
 
 

@@ -244,7 +244,6 @@ def replicate_batched(
     *path: int,
     max_slots: int,
     faults=None,
-    compact_interval: int | None = None,
 ) -> list:
     """Batched counterpart of :func:`replicate` for uniform protocols.
 
@@ -258,11 +257,11 @@ def replicate_batched(
     so a table cell reproduces bit-for-bit regardless of execution order.
     (Per-replication bitstreams differ from the scalar loop's -- the batch
     interleaves its draws -- but the run-law is identical; see
-    ``tests/sim/test_batched.py``.)
+    ``tests/sim/test_conformance.py``.)
 
-    *faults* (a :class:`~repro.resilience.faults.FaultModel`) and
-    *compact_interval* (dead-rep compaction stride) forward to the engine;
-    both default to off, leaving every faults-off pin bit-identical.
+    *faults* (a :class:`~repro.resilience.faults.FaultModel`) forwards to
+    the engine; the default (off) leaves every faults-off pin
+    bit-identical.
     """
     if reps < 1:
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
@@ -276,7 +275,6 @@ def replicate_batched(
         max_slots=max_slots,
         root_seed=derive_seed(root_seed, *path),
         faults=faults,
-        compact_interval=compact_interval,
     )
     results = batch.results()
     _record_cell(results, path)
@@ -292,7 +290,6 @@ def replicate_megakernel(
     *path: int,
     max_slots: int,
     faults=None,
-    compact_interval: int | None = None,
 ) -> list:
     """Megakernel counterpart of :func:`replicate_batched`.
 
@@ -305,13 +302,9 @@ def replicate_megakernel(
     :func:`replicate_batched` having been called directly (the fallback
     is loud: ``engine_fallback_total{engine="megakernel"}``).
 
-    Seeding is path-stable exactly like :func:`replicate_batched`.  Note
-    the fused path compacts dead replications maximally, so its bitstream
-    matches the batched engine's only under an explicit
-    ``compact_interval`` (any value); cells flipped onto the megakernel
-    keep the batched run-law but not the default-stream bits, so
-    fixed-seed pins that must survive the flip should pin the law, not
-    the bits (see ``docs/engines.md``).
+    Seeding is path-stable exactly like :func:`replicate_batched`, and
+    the fused path consumes the batched engine's stream, so the results
+    are bit-identical to :func:`replicate_batched` either way.
     """
     if reps < 1:
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
@@ -325,7 +318,6 @@ def replicate_megakernel(
         max_slots=max_slots,
         root_seed=derive_seed(root_seed, *path),
         faults=faults,
-        compact_interval=compact_interval,
     )
     results = batch.results()
     _record_cell(results, path)

@@ -1,31 +1,20 @@
-"""Parallel replication: fan experiment repetitions across processes.
+"""Process-pool helpers shared by the experiment runners.
 
-The experiment harness is embarrassingly parallel: every repetition is an
-independent simulation with a pre-derived seed.  This module provides a
-drop-in parallel variant of :func:`repro.experiments.harness.replicate`
-built on :mod:`multiprocessing` (process pool; simulations are pure CPU
-and hold the GIL, so threads would not help).
-
-Determinism is preserved by construction: seeds are derived *before*
-dispatch from ``(root_seed, path, rep)``, so results are identical to the
-serial runner regardless of scheduling -- verified by
-``tests/experiments/test_parallel.py``.
-
-Work functions must be picklable (module-level functions plus plain-data
-arguments); the experiment modules' ``_one``-style helpers qualify.  For
-closures, fall back to the serial :func:`replicate`.
+Simulations are pure CPU and hold the GIL, so parallel work fans out over
+:mod:`multiprocessing` processes; these helpers pick the worker count, the
+start method, and reject work functions that cannot cross a process
+boundary.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.rng import derive_seed
 
-__all__ = ["replicate_parallel", "default_jobs", "run_seeded", "subprocess_context"]
+__all__ = ["default_jobs", "subprocess_context"]
 
 
 def default_jobs() -> int:
@@ -52,17 +41,8 @@ def subprocess_context(threadsafe: bool = False) -> mp.context.BaseContext:
     return mp.get_context()
 
 
-def run_seeded(args: tuple[Callable, int, tuple]) -> object:
-    """Pool work item: ``(fn, seed, extra_args) -> fn(seed, *extra_args)``.
-
-    Module-level so it is picklable under the default start method.
-    """
-    fn, seed, extra = args
-    return fn(seed, *extra)
-
-
 def _check_picklable_fn(fn: Callable) -> None:
-    """Reject lambdas and closures before they kill the worker pool.
+    """Reject lambdas and closures before they kill a worker pool.
 
     Pool dispatch pickles the work function by *reference* (module + qualified
     name), so a lambda or a function defined inside another function cannot
@@ -74,49 +54,8 @@ def _check_picklable_fn(fn: Callable) -> None:
     if name == "<lambda>" or "<locals>" in qualname:
         kind = "a lambda" if name == "<lambda>" else f"defined inside {qualname.split('.<locals>')[0]}()"
         raise ConfigurationError(
-            f"replicate_parallel needs a picklable work function, but {fn!r} "
+            f"parallel dispatch needs a picklable work function, but {fn!r} "
             f"is {kind} and cannot be sent to worker processes. Move it to "
-            "module level (bind parameters via extra_args or functools."
-            "partial), or use the serial replicate() / jobs=1 instead."
+            "module level (bind parameters via functools.partial), or run "
+            "with jobs=1 instead."
         )
-
-
-def replicate_parallel(
-    fn: Callable,
-    reps: int,
-    root_seed: int,
-    *path: int,
-    jobs: int | None = None,
-    extra_args: Sequence = (),
-) -> list:
-    """Parallel version of :func:`repro.experiments.harness.replicate`.
-
-    Parameters
-    ----------
-    fn:
-        Picklable callable ``fn(seed, *extra_args)``.
-    reps, root_seed, path:
-        Replication count and stable seed-derivation path, exactly as for
-        the serial ``replicate``.
-    jobs:
-        Process count (``None`` -> :func:`default_jobs`; ``1`` runs
-        serially in-process, with identical results).
-    extra_args:
-        Additional positional arguments forwarded to every call.
-    """
-    if reps < 1:
-        raise ConfigurationError(f"reps must be >= 1, got {reps}")
-    seeds = [derive_seed(root_seed, *path, r) for r in range(reps)]
-    extra = tuple(extra_args)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or reps == 1:
-        return [fn(seed, *extra) for seed in seeds]
-    _check_picklable_fn(fn)
-    items = [(fn, seed, extra) for seed in seeds]
-    ctx = subprocess_context()  # warm forked state; chunk to cut IPC
-    chunksize = max(1, reps // (jobs * 4))
-    with ctx.Pool(processes=jobs) as pool:
-        return pool.map(run_seeded, items, chunksize=chunksize)

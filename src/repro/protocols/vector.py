@@ -9,7 +9,7 @@ Each column evolves by exactly the scalar policy's update rule, driven by
 its own observation sequence -- the per-column state trajectory (hence the
 election-time distribution) is identical to running the scalar policy
 under :func:`repro.sim.fast.simulate_uniform_fast`, which is what the
-KS cross-validation in ``tests/sim/test_batched.py`` asserts.
+KS cross-validation in ``tests/sim/test_conformance.py`` asserts.
 
 Implemented policies:
 

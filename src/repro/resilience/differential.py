@@ -26,8 +26,8 @@ Each *stack* is one semantic implementation driven by a shared world:
   uniforms, and the engine's strong-CD observation/halting expressions;
 * ``megakernel`` -- the slot-blocked engine's update arithmetic
   (:mod:`repro.sim.megakernel`): the ``_LESKLadder`` exponent state with
-  its in-place ``exp2`` probability fast path, the pluggable LESK outcome
-  kernel (:mod:`repro.sim.kernels`), and the collision-only fold, stepped
+  its in-place ``exp2`` probability fast path, the LESK outcome fold
+  (``_apply_lesk_outcomes``), and the collision-only fold, stepped
   one slot at a time so any drift between the fused block arithmetic and
   the per-slot policies diverges here.
 
@@ -699,7 +699,7 @@ class _MegakernelStack:
     in-place ``exp2(-u)`` the engine feeds its fused binomial draws),
     Collision outcomes fold through ``apply_collision_only`` (the engine's
     jam-run / all-collision path) and Null/Single outcomes through the
-    pluggable LESK kernel -- so a drift in any of those reductions
+    engine's LESK outcome fold -- so a drift in any of those reductions
     diverges against the per-slot stacks.  Faults are folded from the
     *observed* state exactly as :meth:`VectorLESKPolicy.observe_batch`
     would (the engine itself delegates faulty cells to the batched
@@ -710,15 +710,12 @@ class _MegakernelStack:
     name = "megakernel"
 
     def __init__(self, config: DifferentialConfig) -> None:
-        from repro.sim.kernels import get_lesk_kernel
         from repro.sim.megakernel import _LESKLadder
 
         self.config = config
         self.budget = JammingBudgetArray(config.T, config.eps, reps=1)
         self.intent = _VectorIntent(config)
-        self.ladder = _LESKLadder(
-            VectorLESKPolicy(config.eps, reps=1), get_lesk_kernel("numpy")
-        )
+        self.ladder = _LESKLadder(VectorLESKPolicy(config.eps, reps=1))
         self.active = np.ones(1, dtype=bool)
         self.halted = False
 
@@ -781,7 +778,7 @@ class _MegakernelStack:
                 ladder.apply_collision_only()
             else:
                 # Null steps down, Single is a no-op -- both via the
-                # engine's pluggable kernel on the observed-state count.
+                # engine's outcome fold on the observed-state count.
                 k_eff = 0 if observed == int(ChannelState.NULL) else 1
                 ladder.apply_free_outcome(np.array([k_eff], dtype=np.int64))
         return SlotFingerprint(

@@ -78,7 +78,7 @@ _TOP_KEYS = {
     "engine", "sharding", "faults", "telemetry", "limits",
 }
 _GRID_KEYS = {"kind", "n", "eps", "T", "adversary"}
-_ENGINE_KEYS = {"batched", "max_slots", "compact_interval"}
+_ENGINE_KEYS = {"batched", "max_slots"}
 _SHARDING_KEYS = {"block_size"}
 _TELEMETRY_KEYS = {"enabled", "stride"}
 _LIMITS_KEYS = {"max_cells", "max_total_reps"}
@@ -105,7 +105,6 @@ class Scenario:
     reps: int
     batched: bool
     max_slots: int | None
-    compact_interval: int | None
     block_size: int
     faults: FaultModel | None
     telemetry_enabled: bool
@@ -158,7 +157,6 @@ class Scenario:
             "engine": {
                 "batched": self.batched,
                 "max_slots": self.max_slots,
-                "compact_interval": self.compact_interval,
             },
             "sharding": {"block_size": self.block_size},
             "faults": None if self.faults is None else self.faults.to_jsonable(),
@@ -287,13 +285,13 @@ def _validate_grid(doc: dict, rep: _Report):
     return tuple(kinds), tuple(advs), ns, tuple(epss), Ts
 
 
-def _validate_engine(doc: dict, rep: _Report) -> tuple[bool, int | None, int | None]:
+def _validate_engine(doc: dict, rep: _Report) -> tuple[bool, int | None]:
     engine = doc.get("engine", {})
     if engine is None:
         engine = {}
     if not isinstance(engine, dict):
         rep.error("engine", f"must be a mapping, got {type(engine).__name__}")
-        return True, None, None
+        return True, None
     _check_unknown(engine, _ENGINE_KEYS, "engine.", rep)
     batched = engine.get("batched", True)
     if not isinstance(batched, bool):
@@ -305,21 +303,7 @@ def _validate_engine(doc: dict, rep: _Report) -> tuple[bool, int | None, int | N
             "engine.max_slots", f"must be a positive integer or null, got {max_slots!r}"
         )
         max_slots = None
-    compact = engine.get("compact_interval")
-    if compact is not None and (not _is_int(compact) or compact < 1):
-        rep.error(
-            "engine.compact_interval",
-            f"must be a positive integer or null, got {compact!r}",
-        )
-        compact = None
-    elif compact is not None and not batched:
-        rep.error(
-            "engine.compact_interval",
-            "conflicts with engine.batched: false -- dead-rep compaction "
-            "is a batched-engine feature; drop it or set engine.batched: true",
-        )
-        compact = None
-    return batched, max_slots, compact
+    return batched, max_slots
 
 
 def _validate_faults(doc: dict, rep: _Report) -> FaultModel | None:
@@ -406,7 +390,7 @@ def scenario_from_jsonable(doc, source: str = "<document>") -> Scenario:
         rep.error("reps", f"must be an integer >= 1, got {reps!r}")
         reps = 1
 
-    batched, max_slots, compact = _validate_engine(doc, rep)
+    batched, max_slots = _validate_engine(doc, rep)
 
     sharding = _validate_section(
         doc, "sharding", _SHARDING_KEYS, {"block_size": 64}, rep
@@ -482,7 +466,6 @@ def scenario_from_jsonable(doc, source: str = "<document>") -> Scenario:
         reps=reps,
         batched=batched,
         max_slots=max_slots,
-        compact_interval=compact,
         block_size=block_size,
         faults=faults,
         telemetry_enabled=tel_enabled,
@@ -549,7 +532,6 @@ def expand(scenario: Scenario) -> list[CellSpec]:
                                 batched=scenario.batched,
                                 max_slots=scenario.max_slots,
                                 faults=scenario.faults,
-                                compact_interval=scenario.compact_interval,
                             )
                         )
     return specs

@@ -8,19 +8,19 @@ independent replications per NumPy step:
 
 * per-replication transmit probabilities as a ``(R,)`` array
   (:class:`~repro.protocols.vector.VectorUniformPolicy`);
-* transmitter counts for all replications in one
+* transmitter counts for all active replications in one
   ``rng.binomial(n, p_vec)`` call;
 * vectorized slot resolution (``k == 0 / 1 / >= 2`` plus the jam mask);
 * per-replication (T, 1-eps) budgets advanced in lockstep
   (:class:`~repro.adversary.budget.JammingBudgetArray`);
-* an active-mask that retires finished replications without Python-level
-  branching per replication.
+* dead-rep compaction: retired replications are packed out of the policy,
+  strategy and budget state, so per-slot work tracks the *live* width.
 
 Exactness: each column sees binomial draws with its own probability and an
 independent jam/observation sequence, and evolves by the scalar policy's
 update rule -- so per-replication run distributions are *identical* to
 ``simulate_uniform_fast`` (the per-column bitstreams differ, the laws do
-not).  Cross-validated by KS tests in ``tests/sim/test_batched.py``.
+not).  Cross-validated by KS tests in ``tests/sim/test_conformance.py``.
 
 Scope: uniform policies with a vector implementation, against any
 registered vectorized adversary -- oblivious patterns and the adaptive
@@ -56,6 +56,11 @@ __all__ = ["simulate_uniform_batched", "BatchRunResult"]
 _NULL = np.int8(ChannelState.NULL)
 _SINGLE = np.int8(ChannelState.SINGLE)
 _COLLISION = np.int8(ChannelState.COLLISION)
+
+#: Slots between packings of the retired columns.  The stream does not
+#: depend on it (see :func:`simulate_uniform_batched`), only the cost
+#: does: strides of 4-16 measure within noise of each other and beat 1.
+_PACK_STRIDE = 8
 
 
 @dataclass(slots=True)
@@ -128,8 +133,6 @@ def simulate_uniform_batched(
     halt_on_single: bool = True,
     faults=None,
     auditor=None,
-    compact_interval: int | None = None,
-    compact_rng: str = "packed",
 ) -> BatchRunResult:
     """Run *reps* independent replications of a uniform policy in lockstep.
 
@@ -159,27 +162,20 @@ def simulate_uniform_batched(
         build.
     auditor:
         Optional :class:`~repro.resilience.auditor.BatchInvariantAuditor`.
-    compact_interval:
-        ``None`` (default) keeps every retired column materialized for the
-        whole run -- the legacy layout.  An integer ``>= 1`` enables
-        dead-rep compaction: every ``compact_interval`` slots the retired
-        columns are packed out of the policy, strategy and budget state,
-        so per-slot work tracks the *live* width.  Results are identical
-        for every surviving column across *all* interval choices; only the
-        post-retirement conditioning of already-retired columns (which no
-        result reads) differs.
-    compact_rng:
-        Transmitter-draw stream layout under compaction (ignored without
-        ``compact_interval``).  ``"packed"`` (default) draws the binomial
-        transmitter counts at the *active* width -- the consumed stream
-        depends only on the schedule-independent active set, so results
-        are bit-identical across every ``compact_interval``, but differ
-        from the legacy full-width bitstream (same law; KS/differential
-        cross-validated).  ``"legacy"`` keeps the full-width draw over
-        frozen retired probabilities, reproducing the no-compaction
-        results bit-for-bit at a per-slot cost floor of one full-width
-        binomial.  Fault streams and the random jammer's Bernoulli stream
-        stay pinned per original rep in both modes.
+
+    Layout: ``live_orig`` maps live-column positions to original rep
+    indices (always ascending); ``live_active`` marks live columns not yet
+    retired; every ``_PACK_STRIDE`` slots the retired columns are packed
+    out of the policy/strategy/budget state via their ``compact(keep)``
+    hooks.
+
+    Stream contract: the transmitter binomial is drawn at the *active*
+    width, in ascending original column order, and winners' leader draws
+    follow in the same order.  Per-slot stream consumption therefore
+    depends only on the active set, never on when packing happens, so
+    results are invariant to the packing stride.  Fault masks are
+    realized at full width per original rep, and the adversary conditions
+    its own spawned stream per original rep.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
@@ -187,14 +183,6 @@ def simulate_uniform_batched(
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
     if max_slots < 1:
         raise ConfigurationError(f"max_slots must be >= 1, got {max_slots}")
-    if compact_interval is not None and compact_interval < 1:
-        raise ConfigurationError(
-            f"compact_interval must be >= 1 or None, got {compact_interval}"
-        )
-    if compact_rng not in ("packed", "legacy"):
-        raise ConfigurationError(
-            f"compact_rng must be 'packed' or 'legacy', got {compact_rng!r}"
-        )
 
     rng = make_rng(root_seed)
     policy = policy_factory(reps)
@@ -208,249 +196,9 @@ def simulate_uniform_batched(
     # adversary's spawn: the fault-free bitstream is untouched.
     bf = _realize_batch_faults(faults, n, reps, max_slots, rng)
 
-    if compact_interval is not None:
-        return _simulate_compact(
-            policy,
-            adversary,
-            bf,
-            rng,
-            n=n,
-            reps=reps,
-            max_slots=max_slots,
-            halt_on_single=halt_on_single,
-            auditor=auditor,
-            interval=int(compact_interval),
-            packed_rng=compact_rng == "packed",
-        )
-
-    active = np.ones(reps, dtype=bool)
-    slots = np.full(reps, max_slots, dtype=np.int64)
-    elected = np.zeros(reps, dtype=bool)
-    leaders = np.full(reps, -1, dtype=np.int64)
-    first_single = np.full(reps, -1, dtype=np.int64)
-    jams = np.zeros(reps, dtype=np.int64)
-    jam_denied = np.zeros(reps, dtype=np.int64)
-    transmissions = np.zeros(reps, dtype=np.int64)
-    listening = np.zeros(reps, dtype=np.int64)
-    policy_done = np.zeros(reps, dtype=bool)
-    timed_out = np.ones(reps, dtype=bool)
-    leader_survived = np.ones(reps, dtype=bool) if bf is not None else None
-    tel = get_telemetry()
-    rec = (
-        EngineRecorder(tel, "batched", adversary.strategy_name)
-        if tel.enabled
-        else None
-    )
-
-    def retire(mask: np.ndarray, slot: int, as_timeout: bool = False) -> None:
-        """Snapshot per-column counters for the columns in *mask*."""
-        slots[mask] = slot + 1
-        jams[mask] = adversary.budget.jams_granted[mask]
-        jam_denied[mask] = adversary.budget.denied_requests[mask]
-        timed_out[mask] = as_timeout
-
-    # History-conditioned strategies (the adaptive family) receive the slot
-    # outcomes through this hook; duck-typed test adversaries may omit it.
-    notify = getattr(adversary, "observe_outcomes", None)
-
-    # Per-slot scratch, hoisted out of the loop.  ``true8`` is refreshed
-    # with ``where=active`` only: retired columns keep a stale true-state,
-    # which nothing result-bearing reads (their policies, counters and
-    # budget snapshots are all frozen or masked by ``active``).
-    true8 = np.empty(reps, dtype=np.int8)
-    p_eff_buf = np.empty(reps, dtype=np.float64)
-    energy_tmp = np.empty(reps, dtype=np.int64)
-
-    for slot in range(max_slots):
-        if not active.any():
-            break
-        p = policy.transmit_probabilities(slot)
-        view = BatchAdversaryView(
-            slot=slot,
-            n=n,
-            reps=reps,
-            budget=adversary.budget,
-            transmit_probabilities=p,
-            protocol_u=policy.u,
-            active=active,
-        )
-        # Every column's budget advances in lockstep; retired columns'
-        # counters were snapshotted at retirement, so the extra slots of a
-        # longer-lived sibling never leak into their results.
-        jammed = adversary.decide(view)
-
-        if bf is not None:
-            # Churn (shared across columns) shrinks the station pool; clock
-            # skew thins the transmit probability; per-column fault masks
-            # rewrite observations below.
-            awake = bf.awake_count(slot)
-            flip, erase, downgrade = bf.begin_slot(slot, active)
-            np.clip(p, 0.0, 1.0, out=p_eff_buf)
-            p_eff_buf *= bf.p_scale
-            p_eff = p_eff_buf
-        else:
-            awake = n
-            flip = erase = None
-            downgrade = False
-            p_eff = np.clip(p, 0.0, 1.0, out=p_eff_buf)
-
-        # One binomial call for the whole batch; p is exact 0/1 at the
-        # clamped extremes, which rng.binomial honors deterministically.
-        k = rng.binomial(awake, p_eff)
-
-        np.add(transmissions, k, out=transmissions, where=active)
-        np.subtract(awake, k, out=energy_tmp)
-        np.add(listening, energy_tmp, out=listening, where=active)
-        if rec is not None:
-            rec.record_batch_slot(slot, k, jammed, active)
-
-        np.minimum(k, 2, out=true8, where=active)
-        observed = np.where(jammed, _COLLISION, true8)
-        if notify is not None:
-            # Pre-fault-corruption states: the adversary knows what it
-            # jammed and is not fooled by the fault model's corrupted
-            # feedback -- same semantics as the scalar engines' trace.
-            # (The fault block below rebinds ``observed`` via np.where, so
-            # the array handed over here is a stable snapshot.)
-            notify(slot, observed, active)
-        if bf is not None:
-            # Same order as channel.faulty.corrupt_observed: erase wins
-            # (handled below by masking the policy update and the win
-            # check), then downgrade, then flip.
-            if downgrade:
-                observed = np.where(observed == _SINGLE, _COLLISION, observed)
-            if flip.any():
-                flipped = np.where(
-                    observed == _NULL,
-                    _COLLISION,
-                    np.where(observed == _COLLISION, _NULL, observed),
-                )
-                observed = np.where(flip, flipped, observed)
-        if auditor is not None:
-            if bf is not None:
-                corrupted = flip | erase
-                if downgrade:
-                    corrupted = np.ones(reps, dtype=bool)
-            else:
-                corrupted = None
-            auditor.observe_slot(
-                slot, k, jammed, observed, corrupted=corrupted, active=active
-            )
-
-        successful_single = (k == 1) & ~jammed
-        if bf is not None:
-            # Only a *heard* Single resolves a column: erased or downgraded
-            # Singles go unnoticed and the column keeps running.
-            successful_single &= (observed == _SINGLE) & ~erase
-        fresh_single = active & successful_single & (first_single < 0)
-        first_single[fresh_single] = slot
-
-        if halt_on_single:
-            won = active & successful_single
-            if won.any():
-                idx = np.flatnonzero(won)
-                # By symmetry the successful transmitter is uniform over
-                # the stations awake in the slot (all stations, fault-free).
-                if bf is not None:
-                    leaders[idx] = bf.pick_awake_stations(slot, idx.size, rng)
-                    leader_survived[idx] = bf.leaders_survive(leaders[idx])
-                else:
-                    leaders[idx] = rng.integers(n, size=idx.size)
-                elected[idx] = True
-                retire(won, slot)
-                active &= ~won
-                if not active.any():
-                    break
-
-        if bf is not None:
-            # Erased columns get no feedback: their policies skip the slot.
-            policy.observe_batch(slot, observed, active & ~erase)
-        else:
-            policy.observe_batch(slot, observed, active)
-        done = active & policy.completed
-        if done.any():
-            policy_done |= done
-            retire(done, slot)
-            active &= ~done
-
-    if active.any():
-        # Columns that hit max_slots: slots stays at the limit.
-        jams[active] = adversary.budget.jams_granted[active]
-        jam_denied[active] = adversary.budget.denied_requests[active]
-
-    if rec is not None:
-        rec.finish(
-            runs=reps,
-            elections=int(elected.sum()),
-            timeouts=int((timed_out & ~elected & ~policy_done).sum()),
-            jam_denied=int(jam_denied.sum()),
-            last_slot=int(slots.max()),
-        )
-    if bf is not None and tel.enabled:
-        bf.publish(tel)
-    presults = getattr(policy, "policy_results", None)
-    return BatchRunResult(
-        n=n,
-        reps=reps,
-        slots=slots,
-        elected=elected,
-        leaders=leaders,
-        first_single_slot=first_single,
-        jams=jams,
-        jam_denied=jam_denied,
-        transmissions=transmissions,
-        listening=listening,
-        policy_completed=policy_done,
-        timed_out=timed_out,
-        leader_survived=leader_survived,
-        policy_results=presults,
-    )
-
-
-def _simulate_compact(
-    policy: VectorUniformPolicy,
-    adversary: BatchedAdversary,
-    bf,
-    rng,
-    *,
-    n: int,
-    reps: int,
-    max_slots: int,
-    halt_on_single: bool,
-    auditor,
-    interval: int,
-    packed_rng: bool,
-) -> BatchRunResult:
-    """Dead-rep compaction loop: per-slot work tracks the *live* width.
-
-    Layout: ``live_orig`` maps live-column positions to original rep
-    indices (always ascending, so winner draws keep the legacy column
-    order); ``live_active`` marks live columns not yet retired; retired
-    columns are packed out of the policy/strategy/budget state every
-    ``interval`` slots via their ``compact(keep)`` hooks.
-
-    Stream contract (``compact_rng`` in :func:`simulate_uniform_batched`):
-    in *packed* mode the transmitter binomial is drawn at the active
-    width -- per-slot stream consumption equals the number of active
-    columns, presented in ascending original order, a quantity that does
-    not depend on the packing schedule -- so every ``compact_interval``
-    choice produces bit-identical results (same law as the legacy
-    stream; KS/differential cross-validated).  In *legacy* mode the draw
-    stays at the original full width with retired columns' last clipped
-    probabilities frozen in ``p_full`` (their policy state is frozen, so
-    the legacy engine would recompute the same values), consuming exactly
-    the no-compaction bitstream: results reproduce
-    ``compact_interval=None`` bit for bit.  In both modes winner draws
-    use schedule-independent counts in ascending original order, fault
-    masks are realized at full width per original rep, and the adversary
-    conditions its own spawned stream per original rep.
-    """
     live_orig = np.arange(reps, dtype=np.int64)
     live_active = np.ones(reps, dtype=bool)
     active_full = np.ones(reps, dtype=bool)
-    if not packed_rng:
-        p_full = np.zeros(reps, dtype=np.float64)
-        p_eff_buf = np.empty(reps, dtype=np.float64)
 
     slots = np.full(reps, max_slots, dtype=np.int64)
     elected = np.zeros(reps, dtype=bool)
@@ -476,7 +224,7 @@ def _simulate_compact(
     if rec is not None or auditor is not None:
         jammed_full = np.zeros(reps, dtype=bool)
         observed_full = np.full(reps, _NULL, dtype=np.int8)
-        k_buf = np.zeros(reps, dtype=np.int64) if packed_rng else None
+        k_rep = np.zeros(reps, dtype=np.int64)
 
     notify = getattr(adversary, "observe_outcomes", None)
     strat = getattr(adversary, "strategy", None)
@@ -517,7 +265,7 @@ def _simulate_compact(
     all_live = True
     pending_retired = False
     # Scratch for the per-slot probability clamp; resized only at
-    # compaction points so the hot loop never allocates for it.
+    # packing points so the hot loop never allocates for it.
     p_clip = np.empty(reps)
 
     def snapshot(pos: np.ndarray, orig: np.ndarray, slot: int) -> None:
@@ -529,7 +277,7 @@ def _simulate_compact(
     for slot in range(max_slots):
         if n_live == 0:
             break
-        if pending_retired and slot % interval == 0:
+        if pending_retired and slot % _PACK_STRIDE == 0:
             # Pack the retired columns out of every per-column state.
             if has_presults:
                 presults_full[live_orig] = policy.policy_results
@@ -560,12 +308,17 @@ def _simulate_compact(
         view.transmit_probabilities = p
         view.protocol_u = policy.u if wants_u else None
         view.active = live_active
+        # Every live column's budget advances in lockstep; retired
+        # columns' counters were snapshotted at retirement.
         if wants_jam is not None:
             jammed = budget.grant(wants_jam(view, adv_rng))
         else:
             jammed = adversary.decide(view)
 
         if bf is not None:
+            # Churn (shared across columns) shrinks the station pool; clock
+            # skew thins the transmit probability; per-column fault masks
+            # rewrite observations below.
             awake = bf.awake_count(slot)
             flip_full, erase_full, downgrade = bf.begin_slot(slot, active_full)
             flip = flip_full[live_orig]
@@ -575,42 +328,29 @@ def _simulate_compact(
             flip = erase = None
             downgrade = False
 
-        if packed_rng:
-            # Active-width draw, ascending original order.
-            if all_live:
-                p_act = np.clip(p, 0.0, 1.0, out=p_clip)
-            else:
-                p_act = p[live_active]
-                np.clip(p_act, 0.0, 1.0, out=p_act)
-            if bf is not None:
-                p_act *= bf.p_scale
-            k = rng.binomial(awake, p_act)
-            if not all_live:
-                k_act = k
-                k = np.zeros(width, dtype=np.int64)
-                k[live_active] = k_act
-            tx_live += k
+        # One binomial call over the active columns, ascending original
+        # order; p is exact 0/1 at the clamped extremes, which
+        # rng.binomial honors deterministically.
+        if all_live:
+            p_act = np.clip(p, 0.0, 1.0, out=p_clip)
         else:
-            # Full-width draw over frozen probabilities: the legacy stream.
-            p_full[live_orig] = np.clip(p, 0.0, 1.0, out=p_clip)
-            if bf is not None:
-                np.multiply(p_full, bf.p_scale, out=p_eff_buf)
-                k_all = rng.binomial(awake, p_eff_buf)
-            else:
-                k_all = rng.binomial(awake, p_full)
-            k = k_all[live_orig]
-            np.add(tx_live, k, out=tx_live, where=live_active)
+            p_act = p[live_active]
+            np.clip(p_act, 0.0, 1.0, out=p_act)
+        if bf is not None:
+            p_act *= bf.p_scale
+        k = rng.binomial(awake, p_act)
+        if not all_live:
+            k_act = k
+            k = np.zeros(width, dtype=np.int64)
+            k[live_active] = k_act
+        tx_live += k
 
         if bf is not None:
             np.subtract(awake, k, out=energy_tmp)
             np.add(listen_live, energy_tmp, out=listen_live, where=live_active)
         if rec is not None or auditor is not None:
-            if packed_rng:
-                k_rep = k_buf
-                k_rep[:] = 0
-                k_rep[live_orig] = k
-            else:
-                k_rep = k_all
+            k_rep[:] = 0
+            k_rep[live_orig] = k
             jammed_full[:] = False
             jammed_full[live_orig] = jammed
             if rec is not None:
@@ -618,8 +358,16 @@ def _simulate_compact(
 
         observed = np.where(jammed, _COLLISION, np.minimum(k, 2))
         if notify is not None:
+            # Pre-fault-corruption states: the adversary knows what it
+            # jammed and is not fooled by the fault model's corrupted
+            # feedback -- same semantics as the scalar engines' trace.
+            # (The fault block below rebinds ``observed`` via np.where, so
+            # the array handed over here is a stable snapshot.)
             notify(slot, observed, live_active)
         if bf is not None:
+            # Same order as channel.faulty.corrupt_observed: erase wins
+            # (handled below by masking the policy update and the win
+            # check), then downgrade, then flip.
             if downgrade:
                 observed = np.where(observed == _SINGLE, _COLLISION, observed)
             if flip.any():
@@ -650,22 +398,23 @@ def _simulate_compact(
         # For booleans ``a & ~b`` is ``a > b``; one ufunc fewer per slot.
         successful_single = (k == 1) > jammed
         if bf is not None:
+            # Only a *heard* Single resolves a column: erased or downgraded
+            # Singles go unnoticed and the column keeps running.
             successful_single &= (observed == _SINGLE) & ~erase
 
         if halt_on_single:
             # A live column with a successful Single always wins here, and
             # a winner can never have first_single set already (it would
             # have won that earlier slot), so the fresh-single update
-            # collapses into the win handling.  Packed draws leave k == 0
-            # in retired columns, so the mask is already implicit there.
-            if packed_rng or all_live:
-                won = successful_single
-            else:
-                won = live_active & successful_single
+            # collapses into the win handling.  Retired columns draw no
+            # transmitters (k == 0), so they can never win again.
+            won = successful_single
             if won.any():
                 pos = np.flatnonzero(won)
                 orig = live_orig[pos]
                 fs_live[pos] = slot
+                # By symmetry the successful transmitter is uniform over
+                # the stations awake in the slot (all stations, fault-free).
                 if bf is not None:
                     chosen = bf.pick_awake_stations(slot, pos.size, rng)
                     leaders[orig] = chosen
@@ -687,6 +436,7 @@ def _simulate_compact(
                 fs_live[fresh_single] = slot
 
         if bf is not None:
+            # Erased columns get no feedback: their policies skip the slot.
             policy.observe_batch(slot, observed, live_active & ~erase)
         else:
             policy.observe_batch(slot, observed, live_active)
@@ -703,6 +453,7 @@ def _simulate_compact(
             n_live -= pos.size
 
     if n_live:
+        # Columns that hit max_slots: slots stays at the limit.
         pos = np.flatnonzero(live_active)
         orig = live_orig[pos]
         jams[orig] = budget.jams_granted[pos]
@@ -761,8 +512,3 @@ def _realize_batch_faults(faults, n: int, reps: int, max_slots: int, rng):
     raise ConfigurationError(
         f"faults must be a FaultModel or BatchFaultState, got {type(faults).__name__}"
     )
-
-
-def _true_states(k: np.ndarray) -> np.ndarray:
-    """Transmitter counts -> true channel-state codes (vectorized)."""
-    return np.minimum(k, 2).astype(np.int8)

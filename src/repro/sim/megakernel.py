@@ -32,15 +32,15 @@ RNG-stream contract
 -------------------
 The root-seed prelude is byte-compatible with the batched engine
 (``make_rng(root_seed)``; one spawned seed for the adversary).  Transmitter
-draws follow the *packed* compacted stream (``compact_rng="packed"``):
-active-width binomials in ascending original column order, winners' leader
-draws via ``rng.integers`` in ascending original order.  A fused ``(R, W)``
-draw consumes the bitstream exactly like ``R`` sequential ``(W,)`` draws
-(numpy samples row-major, one probability at a time), so the fast path is
-**bit-identical** to ``simulate_uniform_batched(...,
-compact_rng="packed")`` for *any* ``compact_interval`` -- the packed
-stream is compaction-schedule-invariant, and this engine is simply its
-maximal-compaction limit.  Block size never changes results either:
+draws follow the batched engine's stream: active-width binomials in
+ascending original column order, winners' leader draws via
+``rng.integers`` in ascending original order.  A fused ``(R, W)`` draw
+consumes the bitstream exactly like ``R`` sequential ``(W,)`` draws (numpy
+samples row-major, one probability at a time), so the fast path is
+**bit-identical** to :func:`~repro.sim.batched.simulate_uniform_batched`
+-- that stream is invariant to when retired columns are packed out, and
+this engine is simply its maximal-compaction limit.  Block size never
+changes results either:
 grouping is derived from the grant timeline, block boundaries only split a
 jam run, and split fused draws consume the bitstream exactly like the
 unsplit ones -- ``block_size=1`` is bit-identical to
@@ -54,11 +54,10 @@ Anything that makes per-slot conditioning real falls back to
 arguments, recording a loud one-time ``engine_fallback_total`` counter:
 adaptive or randomized strategies (no ``want_schedule``), strategies with
 feedback hooks, non-default adversary classes, strict budgets, enabled
-fault models, auditors, ``halt_on_single=False``, policies outside the
-supported set (LESK / sweep / no-CD sweep), and ``compact_rng="legacy"``.
-``compact_interval`` is accepted and ignored: the megakernel always
-retires winners immediately, and the packed stream is compaction-
-schedule-invariant.
+fault models, auditors, ``halt_on_single=False``, and policies outside
+the supported set (LESK / sweep / no-CD sweep).  Both paths consume one
+stream, so whether a configuration takes the fast path or the fallback
+never changes a result bit.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ from repro.protocols.vector import (
 from repro.rng import RngLike, make_rng
 from repro.sim.batched import BatchRunResult, simulate_uniform_batched
 from repro.sim.instrumentation import EngineRecorder
-from repro.sim.kernels import apply_lesk_outcomes_numpy, get_lesk_kernel
 from repro.telemetry import get_telemetry
 
 __all__ = [
@@ -354,14 +352,58 @@ class _ScheduleCursor:
         return _segment_grants(grants), jam_prefix, denied_prefix
 
 
+def _apply_lesk_outcomes(
+    u: np.ndarray,
+    k: np.ndarray,
+    inv_a: float,
+    floor_at_zero: bool = True,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    nonneg: bool = False,
+) -> None:
+    """Fold one free slot's transmitter counts into the LESK exponents.
+
+    In-place on ``u``: columns with ``k == 0`` (Null) step down by 1
+    (floored at 0 when *floor_at_zero*), columns with ``k >= 2``
+    (Collision) step up by ``inv_a``; ``k == 1`` columns are untouched
+    (a Single either elects -- and is compacted out after this call --
+    or marks completion without moving ``u``).  The ufunc sequence and
+    order match :meth:`VectorLESKPolicy.observe_batch` exactly, so the
+    update is bit-identical to the per-slot engines.
+
+    *scratch* may hold two reusable boolean buffers of ``u``'s shape (the
+    megakernel passes them so its hot loop never allocates the masks).
+
+    *nonneg* asserts ``u >= 0`` everywhere (the megakernel's invariant
+    when the floor is active and the start point is non-negative): the
+    Null step then runs unmasked -- ``u - nulls`` subtracts exactly 1
+    where Null and exactly 0 elsewhere, and the full-width floor is the
+    identity on untouched columns -- which is cheaper than the buffered
+    masked ufuncs but produces bit-identical results.
+    """
+    if scratch is None:
+        nulls = k == 0
+        colls = k >= 2
+    else:
+        nulls, colls = scratch
+        np.equal(k, 0, out=nulls)
+        np.greater_equal(k, 2, out=colls)
+    if nonneg and floor_at_zero:
+        np.subtract(u, nulls, out=u)
+        np.maximum(u, 0.0, out=u)
+    else:
+        np.subtract(u, 1.0, out=u, where=nulls)
+        if floor_at_zero:
+            np.maximum(u, 0.0, out=u, where=nulls)
+    np.add(u, inv_a, out=u, where=colls)
+
+
 class _LESKLadder:
     """Vector exponent state for :class:`VectorLESKPolicy`.
 
     Jam runs shift every active column by ``m / a`` (Collision observed),
     so a group's exponent rows come from one ``np.add.accumulate`` -- the
     same sequential-add float results as the per-slot policy update.  Free
-    slot outcomes are folded in by the pluggable kernel
-    (:mod:`repro.sim.kernels`).
+    slot outcomes are folded in by :func:`_apply_lesk_outcomes`.
 
     ``prepare_group`` returns the *probability* rows: with the floor
     active the exponents never go negative, so while the running upper
@@ -371,7 +413,7 @@ class _LESKLadder:
     out-of-place pass on the hot path.
     """
 
-    def __init__(self, policy: VectorLESKPolicy, kernel) -> None:
+    def __init__(self, policy: VectorLESKPolicy) -> None:
         reps = policy.reps
         # Exponents flip-flop between two full-width buffers: the shifted
         # ladder top becomes the next ``u`` without a copy, and winner
@@ -382,20 +424,15 @@ class _LESKLadder:
         self.u[:] = policy.initial_u
         self.inv_a = 1.0 / policy.a
         self.floor = policy.floor_at_zero
-        self.kernel = kernel
         self._u_next = self.u
         self._next_cur = 0
         self.ub = float(policy.initial_u)
         self._ub_next = self.ub
-        # The exp2 shortcut (and the kernel's unmasked path) rely on the
-        # exponents staying non-negative: with the floor active that is an
-        # invariant as long as the start point is itself >= 0 (Null floors
-        # at 0, Collision only adds).
+        # The exp2 shortcut (and the outcome fold's unmasked path) rely on
+        # the exponents staying non-negative: with the floor active that is
+        # an invariant as long as the start point is itself >= 0 (Null
+        # floors at 0, Collision only adds).
         self._fast = bool(policy.floor_at_zero) and policy.initial_u >= 0
-        # The all-Collision shortcut rewrites the masked fold as one
-        # unmasked add; a compiled kernel fuses the whole fold anyway, so
-        # the mask counting would only slow it down.
-        self._shortcut = self._fast and kernel is apply_lesk_outcomes_numpy
         self._p1 = np.empty(reps)
         self._p2 = np.empty(2 * reps)
 
@@ -458,13 +495,16 @@ class _LESKLadder:
         (every surviving column collided) collapse to one unmasked add.
         """
         self.ub += self.inv_a
-        if self._shortcut and scratch is not None:
+        if self._fast and scratch is not None:
+            # No Null anywhere: the masked fold is one unmasked add.
             nulls = scratch[0]
             np.equal(k, 0, out=nulls)
             if not np.count_nonzero(nulls):
                 np.add(self.u, self.inv_a, out=self.u)
                 return
-        self.kernel(self.u, k, self.inv_a, self.floor, scratch, self._fast)
+        _apply_lesk_outcomes(
+            self.u, k, self.inv_a, self.floor, scratch, self._fast
+        )
 
     def apply_collision_only(self) -> None:
         """Every column collided (``k >= 2`` everywhere): the fold is one
@@ -564,7 +604,6 @@ def megakernel_eligibility(
     halt_on_single: bool = True,
     faults=None,
     auditor=None,
-    compact_rng: str = "packed",
 ) -> str | None:
     """Return ``None`` when the fused fast path applies, else the reason
     the configuration must run per-slot (used as the fallback label)."""
@@ -577,8 +616,6 @@ def megakernel_eligibility(
 
         if not (isinstance(faults, FaultModel) and not faults.enabled):
             return "faults"
-    if compact_rng != "packed":
-        return f"compact_rng:{compact_rng}"
     if type(policy) not in _LADDERS:
         return f"policy:{type(policy).__name__}"
     if type(adversary) is not BatchedAdversary:
@@ -607,10 +644,7 @@ def simulate_uniform_megakernel(
     halt_on_single: bool = True,
     faults=None,
     auditor=None,
-    compact_interval: int | None = None,
-    compact_rng: str = "packed",
     block_size: int = DEFAULT_BLOCK_SLOTS,
-    kernel_backend: str = "auto",
 ) -> BatchRunResult:
     """Run *reps* replications through the slot-blocked fused fast path.
 
@@ -628,15 +662,6 @@ def simulate_uniform_megakernel(
         raise ConfigurationError(f"max_slots must be >= 1, got {max_slots}")
     if block_size < 1:
         raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-    if compact_rng not in ("packed", "legacy"):
-        raise ConfigurationError(
-            f"compact_rng must be 'packed' or 'legacy', got {compact_rng!r}"
-        )
-    if compact_interval is not None and compact_interval < 1:
-        raise ConfigurationError(
-            f"compact_interval must be >= 1, got {compact_interval}"
-        )
-    kernel = get_lesk_kernel(kernel_backend)
 
     policy = policy_factory(reps)
     if policy.reps != reps:
@@ -650,7 +675,6 @@ def simulate_uniform_megakernel(
         halt_on_single=halt_on_single,
         faults=faults,
         auditor=auditor,
-        compact_rng=compact_rng,
     )
     if reason is not None:
         _record_fallback(reason)
@@ -664,8 +688,6 @@ def simulate_uniform_megakernel(
             halt_on_single=halt_on_single,
             faults=faults,
             auditor=auditor,
-            compact_interval=compact_interval,
-            compact_rng=compact_rng,
         )
 
     # -- prelude: byte-compatible with the batched engine -----------------
@@ -673,10 +695,7 @@ def simulate_uniform_megakernel(
     adversary.reset(seed=rng.spawn(1)[0])
     strategy = adversary.strategy
     schedule = _schedule_cursor(adversary.T, adversary.eps, block_size)
-    if isinstance(policy, VectorLESKPolicy):
-        ladder = _LESKLadder(policy, kernel)
-    else:
-        ladder = _LADDERS[type(policy)](policy)
+    ladder = _LADDERS[type(policy)](policy)
 
     tel = get_telemetry()
     rec = (

@@ -27,7 +27,7 @@ class TestRoundTrip:
             {},
             {"batched": False},
             {"max_slots": 500},
-            {"compact_interval": 32},
+            {"megakernel": True},
             {"faults": FaultModel(crash_rate=0.01, flip_rate=0.002)},
             {
                 "kind": "estimation",
@@ -35,10 +35,10 @@ class TestRoundTrip:
                 "path": (7, 3),
                 "max_slots": 900,
                 "faults": FaultModel(erase_rate=0.05),
-                "compact_interval": 8,
+                "megakernel": True,
             },
         ],
-        ids=["defaults", "scalar", "max_slots", "compact", "faults", "all"],
+        ids=["defaults", "scalar", "max_slots", "megakernel", "faults", "all"],
     )
     def test_exact_round_trip(self, overrides):
         original = spec(**overrides)
@@ -54,7 +54,7 @@ class TestRoundTrip:
         assert "batched" not in data  # True is the default
         assert "max_slots" not in data
         assert "faults" not in data
-        assert "compact_interval" not in data
+        assert "megakernel" not in data
 
     def test_faults_nest_as_plain_data(self):
         data = spec(faults=FaultModel(crash_rate=0.25)).to_jsonable()

@@ -102,6 +102,25 @@ class TestRunAndReplay:
         assert main(["replay", run_id, "--store", str(store_dir)]) == 1
         assert "integrity violation" in capsys.readouterr().err
 
+    def test_replay_of_stored_compact_interval_is_a_configuration_error(
+        self, good, tmp_path, capsys
+    ):
+        """Stores written before compaction stopped being a knob carry
+        ``engine.compact_interval: null``; replaying one must fail with a
+        path-qualified configuration error, not a traceback."""
+        store_dir = tmp_path / "store"
+        assert main(["run", str(good), "--store", str(store_dir)]) == 0
+        capsys.readouterr()
+        (doc_path,) = store_dir.glob("runs/*/scenario.json")
+        doc = json.loads(doc_path.read_text())
+        doc["engine"]["compact_interval"] = None
+        doc_path.write_text(json.dumps(doc))
+        run_id = doc_path.parent.name
+        assert main(["replay", run_id, "--store", str(store_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "engine.compact_interval: unknown key" in err
+        assert "Traceback" not in err
+
     def test_submit_registers_without_executing(self, good, tmp_path, capsys):
         store = str(tmp_path / "store")
         assert main(["submit", str(good), "--store", store]) == 0

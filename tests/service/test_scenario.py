@@ -63,7 +63,7 @@ class TestValidationErrors:
         (
             {"engine": {"batched": False, "compact_interval": 32}},
             "engine.compact_interval",
-            "conflicts with engine.batched: false",
+            "unknown key",
         ),
         ({"grid": {"adversary": ["random"]}}, "grid.n", "required axis is missing"),
         ({"grid": {"n": [0]}}, "grid.n[0]", "positive integer"),
@@ -174,7 +174,7 @@ class TestCanonicalDigest:
             {"seed": 8},
             {"reps": 5},
             {"grid": {"kind": ["lesu"], "n": [8], "adversary": ["random"]}},
-            {"engine": {"compact_interval": 32}},
+            {"engine": {"max_slots": 321}},
             {"sharding": {"block_size": 2}},
             {"faults": {"crash_rate": 0.01}},
         ):
@@ -220,13 +220,12 @@ class TestExpand:
     def test_engine_and_fault_options_reach_every_spec(self):
         scenario = scenario_from_jsonable(
             doc(
-                engine={"batched": True, "max_slots": 700, "compact_interval": 16},
+                engine={"batched": True, "max_slots": 700},
                 faults={"crash_rate": 0.02},
             )
         )
         (spec,) = expand(scenario)
         assert spec.max_slots == 700
-        assert spec.compact_interval == 16
         assert spec.faults == FaultModel(crash_rate=0.02)
 
     def test_matches_sweep_build_specs_bit_for_bit(self):

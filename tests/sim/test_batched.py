@@ -6,7 +6,9 @@ draws with its own probability, an independent jam sequence clamped by an
 identical per-column (T, 1-eps) budget, and evolves by the scalar policy's
 update rule.  We verify with two-sample KS tests over election-time samples
 (fixed seeds) for LESK and the geometric doubling-sweep baseline, plus
-deterministic invariants every batch must satisfy.
+deterministic invariants every batch must satisfy.  The engine registry in
+``tests/sim/test_conformance.py`` checks the same law alongside the other
+engines.
 """
 
 from __future__ import annotations
@@ -151,7 +153,9 @@ class TestInvariants:
 
     def test_scripted_columns_are_budget_sound(self):
         """Drive the array budget through the engine and validate the
-        per-column grant pattern post-hoc via the scalar checker."""
+        per-column grant pattern post-hoc via the scalar checker.  Grants
+        are logged at full width by original column, so the log survives
+        the engine packing retired columns out."""
         reps = 16
         granted_log = []
 
@@ -161,6 +165,7 @@ class TestInvariants:
                     "saturating", T=T, eps=EPS, reps=reps
                 )
                 self.budget = self.inner.budget
+                self.live = np.arange(reps)
 
             def reset(self, seed=None):
                 self.inner.reset(seed=seed)
@@ -168,8 +173,15 @@ class TestInvariants:
 
             def decide(self, view):
                 granted = self.inner.decide(view)
-                granted_log.append(granted.copy())
+                row = np.zeros(reps, dtype=bool)
+                row[self.live] = granted
+                granted_log.append(row)
                 return granted
+
+            def compact(self, keep):
+                self.inner.compact(keep)
+                self.budget = self.inner.budget
+                self.live = self.live[keep]
 
         simulate_uniform_batched(
             lambda r: VectorLESKPolicy(EPS, r),

@@ -1,7 +1,7 @@
 """Cross-validation: vectorized *adaptive* adversaries and the new vector
 policies (LESU, Estimation, no-CD sweep) match their scalar counterparts.
 
-Two layers of evidence, mirroring ``tests/sim/test_batched.py``:
+Two layers of evidence, alongside ``tests/sim/test_conformance.py``:
 
 * **distributional** -- two-sample KS tests over election times (and
   granted-jam counts, since adaptive strategies condition on history the
@@ -183,8 +183,8 @@ class TestRegressionPins:
 
     def test_reactive_lesk_pin(self):
         batch = batched(lambda r: VectorLESKPolicy(EPS, r), "reactive", 8, 1234, 100_000)
-        assert tuple(int(v) for v in batch.slots) == (66, 67, 60, 73, 71, 65, 93, 79)
-        assert tuple(int(v) for v in batch.jams) == (0, 0, 0, 0, 0, 0, 1, 1)
+        assert tuple(int(v) for v in batch.slots) == (85, 71, 60, 66, 65, 78, 68, 66)
+        assert tuple(int(v) for v in batch.jams) == (1, 0, 0, 0, 0, 0, 0, 0)
 
     def test_lesu_pin(self):
         budget = default_slot_budget(N, EPS, T, "lesu")
@@ -192,7 +192,7 @@ class TestRegressionPins:
             lambda r: VectorLESUPolicy(r), "estimator-attacker", 6, 77, budget
         )
         assert batch.elected.all()
-        assert tuple(int(v) for v in batch.slots) == (7, 9, 13, 81, 9, 11)
+        assert tuple(int(v) for v in batch.slots) == (7, 10, 81, 9, 65, 11)
 
     def test_estimation_pin(self):
         batch = batched(
@@ -203,11 +203,11 @@ class TestRegressionPins:
             50_000,
             n=256,
         )
-        assert tuple(int(v) for v in batch.slots) == (14, 14, 14, 14, 12, 14, 13, 14)
-        assert tuple(int(v) for v in batch.policy_results) == (3, 3, 3, 3, -1, -1, -1, 3)
+        assert tuple(int(v) for v in batch.slots) == (14, 14, 14, 14, 12, 14, 14, 13)
+        assert tuple(int(v) for v in batch.policy_results) == (3, 3, 3, 3, -1, 3, -1, -1)
 
     def test_nocd_pin(self):
         batch = batched(
             lambda r: VectorNoCDSweepPolicy(r), "single-suppressor", 8, 42, 100_000
         )
-        assert tuple(int(v) for v in batch.slots) == (64, 67, 64, 69, 71, 67, 63, 71)
+        assert tuple(int(v) for v in batch.slots) == (64, 80, 64, 65, 78, 71, 63, 64)

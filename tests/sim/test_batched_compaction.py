@@ -1,32 +1,24 @@
-"""Dead-rep compaction: stream contracts, edge cases and result order.
+"""Dead-rep compaction: the packing stride never changes a result bit.
 
-The compaction loop promises two stream contracts
-(:func:`~repro.sim.batched.simulate_uniform_batched`):
-
-* ``compact_rng="legacy"`` reproduces ``compact_interval=None`` bit for
-  bit at every interval (the full-width draw over frozen retired
-  probabilities consumes exactly the no-compaction bitstream);
-* ``compact_rng="packed"`` (the default, and the fast path) is
-  *schedule-invariant*: every ``compact_interval`` choice produces
-  bit-identical results, because per-slot stream consumption equals the
-  number of active columns in ascending original order -- a quantity
-  that does not depend on when packing happens.  Its bitstream differs
-  from legacy, but the law is the same (KS-checked here, differential-
-  checked in ``tests/resilience/test_differential.py``).
+:func:`~repro.sim.batched.simulate_uniform_batched` packs retired columns
+out of the live state every ``_PACK_STRIDE`` slots.  Its stream contract
+makes that schedule invisible: per-slot stream consumption equals the
+number of active columns in ascending original order, a quantity that
+does not depend on when packing happens.  These tests force the private
+stride to other values -- including one larger than the run, which never
+packs and so keeps the full-width layout -- and require identical results.
 
 The case table deliberately includes the edge cases: a column retiring
 at the first opportunity (``n=1``), a cell where *no* column retires
-(timeout), ``interval=1``, and faults combined with compaction.
+(timeout), stride 1, and faults combined with compaction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from repro.adversary.vector import make_batched_adversary
-from repro.errors import ConfigurationError
 from repro.protocols.vector import (
     VectorEstimationPolicy,
     VectorLESKPolicy,
@@ -34,6 +26,7 @@ from repro.protocols.vector import (
     VectorNoCDSweepPolicy,
 )
 from repro.resilience.faults import FaultModel
+from repro.sim import batched
 from repro.sim.batched import simulate_uniform_batched
 
 T = 8
@@ -135,18 +128,27 @@ CASES = {
 }
 
 
-def run_case(name: str, *, compact_interval, compact_rng="packed"):
+#: A stride no case reaches: the engine never packs, every retired column
+#: stays materialized at full width.
+NEVER_PACK = 10**9
+
+
+def run_case(name: str, *, stride: int | None = None):
     kw, pol, strategy, reps, seed, extra = CASES[name]
-    return simulate_uniform_batched(
-        pol,
-        adversary_factory=lambda r: make_batched_adversary(strategy, T, EPS, r),
-        reps=reps,
-        root_seed=seed,
-        compact_interval=compact_interval,
-        compact_rng=compact_rng,
-        **kw,
-        **extra,
-    )
+    default = batched._PACK_STRIDE
+    if stride is not None:
+        batched._PACK_STRIDE = stride
+    try:
+        return simulate_uniform_batched(
+            pol,
+            adversary_factory=lambda r: make_batched_adversary(strategy, T, EPS, r),
+            reps=reps,
+            root_seed=seed,
+            **kw,
+            **extra,
+        )
+    finally:
+        batched._PACK_STRIDE = default
 
 
 def assert_identical(a, b) -> None:
@@ -159,49 +161,25 @@ def assert_identical(a, b) -> None:
 
 
 class TestLegacyBitIdentity:
-    """``compact_rng="legacy"`` == ``compact_interval=None``, bit for bit."""
+    """Packing at any stride == never packing (the full-width layout)."""
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("interval", [1, 4, 16])
     def test_matches_no_compaction(self, case, interval):
-        base = run_case(case, compact_interval=None)
-        got = run_case(case, compact_interval=interval, compact_rng="legacy")
+        base = run_case(case, stride=NEVER_PACK)
+        got = run_case(case, stride=interval)
         assert_identical(base, got)
 
 
 class TestPackedScheduleInvariance:
-    """The packed stream is invariant under the packing schedule."""
+    """The stream is invariant under the packing schedule."""
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_all_intervals_agree(self, case):
-        base = run_case(case, compact_interval=1)
-        for interval in (2, 4, 16, 37):
-            got = run_case(case, compact_interval=interval)
+        base = run_case(case)
+        for interval in (1, 2, 4, 16, 37):
+            got = run_case(case, stride=interval)
             assert_identical(base, got)
-
-
-class TestPackedLaw:
-    """Packed draws change the bitstream but not the law."""
-
-    def test_ks_vs_no_compaction(self):
-        def times(compact_interval, compact_rng, seed):
-            batch = simulate_uniform_batched(
-                lambda r: VectorLESKPolicy(EPS, r),
-                64,
-                lambda r: make_batched_adversary("reactive", T, EPS, r),
-                reps=300,
-                max_slots=100_000,
-                root_seed=seed,
-                compact_interval=compact_interval,
-                compact_rng=compact_rng,
-            )
-            assert batch.elected.all()
-            return batch.slots.astype(float)
-
-        packed = times(16, "packed", seed=101)
-        legacy = times(None, "legacy", seed=202)
-        ks = stats.ks_2samp(packed, legacy)
-        assert ks.pvalue > 1e-4
 
 
 class TestResultsOrder:
@@ -214,10 +192,8 @@ class TestResultsOrder:
     """
 
     def test_results_match_no_compaction_elementwise(self):
-        base = run_case("lesu-estimator-attacker", compact_interval=None)
-        got = run_case(
-            "lesu-estimator-attacker", compact_interval=1, compact_rng="legacy"
-        )
+        base = run_case("lesu-estimator-attacker", stride=NEVER_PACK)
+        got = run_case("lesu-estimator-attacker", stride=1)
         # Retirement order must actually be shuffled for this test to
         # bite: some later column retires before an earlier one.
         order = np.argsort(base.slots, kind="stable")
@@ -227,16 +203,6 @@ class TestResultsOrder:
             assert res.slots == int(base.slots[r])
 
     def test_packed_results_keep_rep_alignment(self):
-        base = run_case("random-jammer-lesk", compact_interval=1)
-        got = run_case("random-jammer-lesk", compact_interval=16)
+        base = run_case("random-jammer-lesk", stride=1)
+        got = run_case("random-jammer-lesk", stride=16)
         assert got.results() == base.results()
-
-
-class TestValidation:
-    def test_zero_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_case("reactive-lesk", compact_interval=0)
-
-    def test_bad_compact_rng_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_case("reactive-lesk", compact_interval=4, compact_rng="fast")

@@ -1,30 +1,20 @@
-"""Backend parity and resolution for the optional compiled LESK kernels.
+"""The megakernel's LESK outcome fold (``_apply_lesk_outcomes``).
 
-The numba backend is absent from the default image, so the parity tests
-skip cleanly there; the resolution tests assert the soft-degradation
-contract either way (``auto`` never raises, explicit ``numba`` without
-the wheel is a loud configuration error).
+The fold is the one piece of LESK arithmetic the megakernel does not share
+with :meth:`VectorLESKPolicy.observe_batch`; these tests pin its Null /
+Single / Collision semantics and the equivalence of its buffered and
+unmasked fast paths to the plain masked reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError
-from repro.sim.kernels import (
-    HAVE_NUMBA,
-    apply_lesk_outcomes_numpy,
-    get_lesk_kernel,
-    resolve_backend,
-    warmup,
-)
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
+from repro.sim.megakernel import _apply_lesk_outcomes
 
 
 def _cases(rng, width=257):
-    """(u, k, inv_a, floor, nonneg) tuples spanning the kernel's domain."""
+    """(u, k, inv_a, floor, nonneg) tuples spanning the fold's domain."""
     for floor in (True, False):
         u = rng.uniform(-3.0, 8.0, size=width)
         k = rng.integers(0, 5, size=width)
@@ -39,83 +29,23 @@ class TestNumpyKernel:
     def test_null_collision_single_semantics(self):
         u = np.array([3.0, 0.5, 2.0, 1.0])
         k = np.array([0, 0, 1, 3], dtype=np.int64)
-        apply_lesk_outcomes_numpy(u, k, 0.25)
+        _apply_lesk_outcomes(u, k, 0.25)
         # Null steps down (floored), Single untouched, Collision steps up.
         assert u.tolist() == [2.0, 0.0, 2.0, 1.25]
 
     def test_no_floor_goes_negative(self):
         u = np.array([0.5])
-        apply_lesk_outcomes_numpy(u, np.array([0], dtype=np.int64), 0.25,
-                                  floor_at_zero=False)
+        _apply_lesk_outcomes(u, np.array([0], dtype=np.int64), 0.25,
+                             floor_at_zero=False)
         assert u[0] == -0.5
 
     def test_scratch_and_nonneg_paths_match_reference(self):
         rng = np.random.default_rng(17)
         for u, k, inv_a, floor, nonneg in _cases(rng):
             ref = u.copy()
-            apply_lesk_outcomes_numpy(ref, k, inv_a, floor)
+            _apply_lesk_outcomes(ref, k, inv_a, floor)
             got = u.copy()
             scratch = (np.empty_like(k, dtype=bool), np.empty_like(k, dtype=bool))
-            apply_lesk_outcomes_numpy(got, k, inv_a, floor,
-                                      scratch=scratch, nonneg=nonneg)
+            _apply_lesk_outcomes(got, k, inv_a, floor,
+                                 scratch=scratch, nonneg=nonneg)
             assert np.array_equal(ref, got)
-
-
-class TestBackendResolution:
-    def test_auto_resolves_to_an_available_backend(self):
-        resolved = resolve_backend("auto")
-        assert resolved == ("numba" if HAVE_NUMBA else "numpy")
-
-    def test_numpy_always_available(self):
-        assert resolve_backend("numpy") == "numpy"
-        assert get_lesk_kernel("numpy") is apply_lesk_outcomes_numpy
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            resolve_backend("cuda")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_explicit_numba_without_wheel_is_loud(self):
-        with pytest.raises(ConfigurationError, match=r"repro\[perf\]"):
-            resolve_backend("numba")
-        with pytest.raises(ConfigurationError, match=r"repro\[perf\]"):
-            get_lesk_kernel("numba")
-
-    def test_warmup_returns_resolved_backend(self):
-        assert warmup("numpy") == "numpy"
-        assert warmup("auto") == resolve_backend("auto")
-
-
-@needs_numba
-class TestNumbaParity:
-    def test_bit_identical_to_numpy(self):
-        kernel = get_lesk_kernel("numba")
-        rng = np.random.default_rng(23)
-        for u, k, inv_a, floor, nonneg in _cases(rng):
-            ref = u.copy()
-            apply_lesk_outcomes_numpy(ref, k, inv_a, floor)
-            got = u.copy()
-            kernel(got, k, inv_a, floor, nonneg=nonneg)
-            assert np.array_equal(ref, got)
-
-    def test_megakernel_results_identical_across_backends(self):
-        from repro.adversary.vector import make_batched_adversary
-        from repro.protocols.vector import VectorLESKPolicy
-        from repro.sim.megakernel import simulate_uniform_megakernel
-
-        def run(backend):
-            return simulate_uniform_megakernel(
-                lambda r: VectorLESKPolicy(0.5, r),
-                64,
-                lambda r: make_batched_adversary(
-                    "saturating", T=16, eps=0.5, reps=r
-                ),
-                reps=12,
-                max_slots=4000,
-                root_seed=7,
-                kernel_backend=backend,
-            )
-
-        a, b = run("numpy"), run("numba")
-        for field in ("slots", "leaders", "jams", "transmissions"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))

@@ -6,40 +6,29 @@ The engine's two structural contracts are tested here:
 * **Block-size invariance** -- ``block_size`` only changes how the grant
   timeline is chunked, never the results: K in {1, 7, 64, max_slots}
   must yield identical ``BatchRunResult`` fields.
-* **Bit-identity with the packed batched stream** -- the megakernel is
-  the maximal-compaction limit of ``compact_rng="packed"``: for any
-  explicit ``compact_interval`` the batched engine must produce the same
-  arrays bit for bit, across all three fast-path policies and every
-  schedulable strategy.
+* **Bit-identity with the batched stream** -- the megakernel is the
+  maximal-compaction limit of the batched engine's stream: the batched
+  engine must produce the same arrays bit for bit, across all three
+  fast-path policies and every schedulable strategy.
 
-Statistical cross-validation against the scalar fast engine (different
-bitstream, same law) uses the same KS setup as
-``tests/sim/test_cross_validation.py``.
+Statistical cross-validation against the scalar engines lives in
+``tests/sim/test_conformance.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from repro import telemetry
 from repro.adversary.budget import JammingBudget
-from repro.adversary.suite import make_adversary
 from repro.adversary.vector import make_batched_adversary
-from repro.errors import ConfigurationError
-from repro.protocols.baselines.nakano_olariu import (
-    NoCDSweepPolicy,
-    UniformSweepPolicy,
-)
-from repro.protocols.lesk import LESKPolicy
 from repro.protocols.vector import (
     VectorLESKPolicy,
     VectorNoCDSweepPolicy,
     VectorSweepPolicy,
 )
 from repro.sim.batched import simulate_uniform_batched
-from repro.sim.fast import simulate_uniform_fast
 from repro.sim.megakernel import (
     _SCHEDULE_CACHE,
     _BudgetSchedule,
@@ -130,20 +119,13 @@ class TestBitIdentityWithPackedBatched:
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("strategy", SCHEDULABLE)
     def test_matches_packed_stream(self, policy, strategy):
-        for interval in (1, 8):
-            ref = _batched(
-                policy, strategy, compact_interval=interval,
-                compact_rng="packed",
-            )
-            got = _mega(policy, strategy, compact_interval=interval)
-            assert_results_equal(
-                ref, got, f"{policy}/{strategy} ci={interval}"
-            )
+        ref = _batched(policy, strategy)
+        got = _mega(policy, strategy)
+        assert_results_equal(ref, got, f"{policy}/{strategy}")
 
     def test_matches_across_root_seeds(self):
         for seed in range(8):
-            ref = _batched("lesk", "saturating", reps=8, seed=seed,
-                           compact_interval=1, compact_rng="packed")
+            ref = _batched("lesk", "saturating", reps=8, seed=seed)
             got = _mega("lesk", "saturating", reps=8, seed=seed)
             assert_results_equal(ref, got, f"seed={seed}")
 
@@ -166,39 +148,6 @@ class TestFixedSeedPins:
         r = _mega("sweep", "burst", reps=12, seed=7)
         assert r.slots.tolist() == [43, 26, 10, 42, 43, 16, 17, 17, 27, 16, 16, 10]
         assert r.leaders.tolist() == [52, 60, 15, 30, 60, 47, 47, 40, 38, 34, 13, 51]
-
-
-SCALAR_POLICIES = {
-    "lesk": lambda: LESKPolicy(EPS),
-    "sweep": UniformSweepPolicy,
-    "nocd-sweep": NoCDSweepPolicy,
-}
-
-
-class TestCrossValidation:
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    @pytest.mark.parametrize("strategy", ["none", "saturating"])
-    def test_election_times_match_scalar_law(self, policy, strategy):
-        reps = 120
-        mega = _mega(policy, strategy, reps=reps, max_slots=100_000, seed=5)
-        assert mega.elected.all()
-        scalar = []
-        for seed in range(reps):
-            result = simulate_uniform_fast(
-                SCALAR_POLICIES[policy](),
-                n=N,
-                adversary=make_adversary(strategy, T=T, eps=EPS),
-                max_slots=100_000,
-                seed=seed,
-            )
-            assert result.elected
-            scalar.append(result.slots)
-        ks = stats.ks_2samp(mega.slots.astype(float), np.asarray(scalar, float))
-        assert ks.pvalue > 1e-4, (
-            f"megakernel vs scalar election times diverge for "
-            f"{policy}/{strategy}: KS p={ks.pvalue:.2e}, medians "
-            f"{np.median(mega.slots):.0f} vs {np.median(scalar):.0f}"
-        )
 
 
 class TestBudgetSchedule:
@@ -302,11 +251,3 @@ class TestFallback:
             megakernel_eligibility(policy, oblivious, halt_on_single=False)
             is not None
         )
-        assert (
-            megakernel_eligibility(policy, oblivious, compact_rng="legacy")
-            is not None
-        )
-
-    def test_unknown_kernel_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            _mega("lesk", "saturating", kernel_backend="cuda")

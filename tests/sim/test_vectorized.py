@@ -6,25 +6,21 @@ actual transmitting cell as winner -- in ``(reps, n)`` NumPy lockstep.
 Its bitstream differs from :func:`repro.sim.engine.simulate_stations`
 (vectorized draw layout), so fidelity is checked three ways: fixed-seed
 pins (regression), KS cross-validation of election-time samples against
-the scalar engines (law), and the lockstep differential harness in
-``tests/resilience/test_differential.py`` (per-slot semantics).
+the scalar engines (law, in ``tests/sim/test_conformance.py``), and the
+lockstep differential harness in ``tests/resilience/test_differential.py``
+(per-slot semantics).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from repro.adversary.suite import make_adversary
 from repro.adversary.vector import make_batched_adversary
 from repro.errors import ConfigurationError
-from repro.protocols.base import UniformStationAdapter
-from repro.protocols.lesk import LESKPolicy
 from repro.protocols.vector import VectorLESKPolicy
 from repro.resilience.auditor import BatchInvariantAuditor
 from repro.resilience.faults import FaultModel
-from repro.sim.engine import simulate_stations
 from repro.sim.vectorized import simulate_stations_vectorized
 from repro.types import CDMode
 
@@ -146,39 +142,3 @@ class TestWeakCD:
         )
         assert r.elected.all()
         assert (r.slots == r.first_single_slot + 1).all()
-
-
-class TestLawVsScalarFaithful:
-    """Two-sample KS: election times match the scalar faithful engine."""
-
-    N = 16
-    RUNS = 150
-
-    def scalar_times(self, adversary: str) -> np.ndarray:
-        out = []
-        for seed in range(self.RUNS):
-            stations = [
-                UniformStationAdapter(LESKPolicy(EPS)) for _ in range(self.N)
-            ]
-            result = simulate_stations(
-                stations,
-                make_adversary(adversary, T=T, eps=EPS),
-                cd_mode=CDMode.STRONG,
-                max_slots=100_000,
-                seed=seed,
-                stop_on_first_single=True,
-            )
-            assert result.elected
-            out.append(result.slots)
-        return np.asarray(out, dtype=float)
-
-    @pytest.mark.parametrize("adversary", ["saturating", "reactive"])
-    def test_election_time_distribution(self, adversary):
-        batch = vectorized_lesk(
-            adversary, n=self.N, reps=self.RUNS, seed=99, max_slots=100_000
-        )
-        assert batch.elected.all()
-        ks = stats.ks_2samp(
-            batch.slots.astype(float), self.scalar_times(adversary)
-        )
-        assert ks.pvalue > 1e-4
