@@ -92,7 +92,7 @@ MEGAKERNEL_SPEEDUP_FLOOR = 2.0
 SMOKE_MEGAKERNEL_SPEEDUP_FLOOR = 1.5
 #: Maximum tolerated shard-supervision overhead (percent): the supervised
 #: block scheduler's accounting (task state, retry bookkeeping, checkpoint
-#: key hashing off) versus the legacy plain-loop path on identical cells.
+#: key hashing off) versus a plain in-process loop over the same blocks.
 SHARD_GATE_PCT = 2.0
 SMOKE_SHARD_GATE_PCT = 5.0
 #: Lines of cumulative-time profile kept per engine row by ``--profile``.
@@ -657,17 +657,19 @@ def measure_resilience_overhead(
 def measure_shard_supervision_overhead(
     reps: int = 64, repeats: int = 5, inner: int = 4
 ) -> dict:
-    """Time the supervised shard scheduler against the legacy plain loop.
+    """Time the supervised shard scheduler against a plain loop.
 
-    Both sides run ``jobs=1`` on identical LESK cells, so the measured
-    difference is pure supervision accounting (task state machine, retry
-    bookkeeping, per-execution telemetry scoping) with no process-spawn
-    noise -- exactly what the <= 2% supervised-overhead contract
-    constrains.  Noise controls: CPU time, legacy/supervised sweeps
-    alternated pairwise (so a slow machine phase penalizes both sides
-    equally), and ``repeats * inner`` samples per side reduced by min --
-    each sweep is tens of milliseconds, so the min converges on the
-    noise-free floor.
+    Both sides run in-process on identical LESK cells: the baseline calls
+    ``run_shard`` on every ``(spec, block_index, block_reps)`` item in a
+    plain loop and regroups the results; the supervised side runs the same
+    items through ``ShardedScheduler(jobs=1)``.  The measured difference is
+    pure supervision accounting (task state machine, retry bookkeeping,
+    per-execution telemetry scoping) with no process-spawn noise --
+    exactly what the <= 2% supervised-overhead contract constrains.  Noise
+    controls: CPU time, plain/supervised sweeps alternated pairwise (so a
+    slow machine phase penalizes both sides equally), and ``repeats *
+    inner`` samples per side reduced by min -- each sweep is tens of
+    milliseconds, so the min converges on the noise-free floor.
     """
     from repro.experiments.cells import CellSpec, run_shard
     from repro.experiments.harness import ShardedScheduler
@@ -679,22 +681,29 @@ def measure_shard_supervision_overhead(
         )
         for i in range(2)
     ]
+    scheduler = ShardedScheduler(jobs=1, block_size=16)
 
     def sweep(supervised: bool):
-        with ShardedScheduler(
-            jobs=1, block_size=16, supervised=supervised
-        ) as sched:
-            return sched.run(run_shard, specs)
+        if supervised:
+            return scheduler.run(run_shard, specs)
+        return [
+            [r for b, size in enumerate(scheduler.blocks_for(spec.reps))
+             for r in run_shard((spec, b, size))[0]]
+            for spec in specs
+        ]
 
     def timed(supervised: bool) -> float:
         start = time.process_time()
         sweep(supervised)
         return time.process_time() - start
 
+    def key(cells):
+        return [[(r.slots, r.elected) for r in cell] for cell in cells]
+
     results = sweep(False)  # warm-up: allocator pools, schedule caches
     assert [len(c) for c in results] == [reps, reps]
-    sweep(True)
-    legacy_s = supervised_s = float("inf")
+    assert key(sweep(True)) == key(results)
+    plain_s = supervised_s = float("inf")
     for i in range(max(1, repeats) * max(1, inner)):
         # Alternate which side goes first so cache-warming from the
         # pair's first sweep does not systematically favour one side.
@@ -703,7 +712,7 @@ def measure_shard_supervision_overhead(
             if supervised:
                 supervised_s = min(supervised_s, t)
             else:
-                legacy_s = min(legacy_s, t)
+                plain_s = min(plain_s, t)
 
     return {
         "workload": {
@@ -713,10 +722,10 @@ def measure_shard_supervision_overhead(
             "block_size": 16,
             "adversary": "saturating",
         },
-        "legacy_s": round(legacy_s, 6),
+        "plain_s": round(plain_s, 6),
         "supervised_s": round(supervised_s, 6),
         "overhead_pct": round(
-            100.0 * (supervised_s - legacy_s) / legacy_s, 3
+            100.0 * (supervised_s - plain_s) / plain_s, 3
         ),
     }
 
@@ -915,7 +924,7 @@ def main(argv: list[str] | None = None) -> int:
     shard["smoke"] = args.smoke
     results["shard_supervision"] = shard
     print(
-        f"shard supervision (jobs=1): legacy {shard['legacy_s']:.3f}s, "
+        f"shard supervision (jobs=1): plain loop {shard['plain_s']:.3f}s, "
         f"supervised {shard['supervised_s']:.3f}s "
         f"({shard['overhead_pct']:+.2f}%)"
     )

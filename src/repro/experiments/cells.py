@@ -509,7 +509,6 @@ def run_cells(
     specs,
     jobs: int | None = None,
     block_size: int | None = None,
-    threadsafe: bool = False,
 ) -> list[list]:
     """Run several cells, sharding when sharding is configured.
 
@@ -534,7 +533,6 @@ def run_cells(
         specs,
         jobs=jobs,
         block_size=block_size,
-        threadsafe=threadsafe or context.threadsafe,
         block_timeout=context.block_timeout,
         checkpoint_dir=context.checkpoint_dir,
         fault_plan=context.fault_plan,
@@ -545,7 +543,6 @@ def run_cells_sharded(
     specs,
     jobs: int | None = None,
     block_size: int = 64,
-    threadsafe: bool = False,
     **supervision,
 ) -> list[list]:
     """Run several :class:`CellSpec` cells sharded across worker processes.
@@ -559,12 +556,10 @@ def run_cells_sharded(
     from ``(root_seed, *path)``.
 
     Extra keyword arguments (``retry``, ``block_timeout``, ``keep_going``,
-    ``checkpoint_dir``, ``fault_plan``, ``speculate``, ``supervised``)
-    pass through to :class:`~repro.experiments.harness.ShardedScheduler`.
+    ``checkpoint_dir``, ``fault_plan``, ``speculate``) pass through to
+    :class:`~repro.experiments.harness.ShardedScheduler`.
     """
-    with ShardedScheduler(
-        jobs=jobs, block_size=block_size, threadsafe=threadsafe, **supervision
-    ) as sched:
+    with ShardedScheduler(jobs=jobs, block_size=block_size, **supervision) as sched:
         return sched.run(run_shard, specs)
 
 
@@ -572,7 +567,6 @@ def run_cells_sharded_report(
     specs,
     jobs: int | None = None,
     block_size: int = 64,
-    threadsafe: bool = False,
     **supervision,
 ):
     """Supervised sharded run returning ``(results, spec_shards, report)``.
@@ -584,7 +578,5 @@ def run_cells_sharded_report(
     the supervisor's :class:`~repro.experiments.shard_supervisor
     .ShardReport` (quarantined blocks, retries, speculation).
     """
-    with ShardedScheduler(
-        jobs=jobs, block_size=block_size, threadsafe=threadsafe, **supervision
-    ) as sched:
+    with ShardedScheduler(jobs=jobs, block_size=block_size, **supervision) as sched:
         return sched.run_report(run_shard, specs)

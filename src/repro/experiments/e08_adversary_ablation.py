@@ -60,7 +60,6 @@ def _lesk_with_jam_shards(specs):
         specs,
         jobs=context.jobs,
         block_size=context.block_size or 64,
-        threadsafe=context.threadsafe,
         block_timeout=context.block_timeout,
         checkpoint_dir=context.checkpoint_dir,
         fault_plan=context.fault_plan,

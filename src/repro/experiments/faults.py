@@ -1,43 +1,41 @@
-"""Deterministic fault injection for chaos-testing the experiment runner.
+"""Deterministic fault injection for chaos-testing the supervised pool.
 
 A :class:`FaultPlan` names, ahead of time, exactly which fault fires on
-which attempt of which experiment -- no probabilistic triggering -- so a
-chaos test replays bit-for-bit.  The plan is plain picklable data and
-crosses the worker-process boundary with the work item; the runner
-consults it at two points:
+which execution of which task -- no probabilistic triggering -- so a
+chaos test replays bit-for-bit.  The plan is plain picklable data.  Every
+``kill``/``hang``/``raise``/``config`` atom fires from one place: the
+worker of :class:`~repro.experiments.parallel.WorkerPool` calls
+:meth:`FaultPlan.fire` right before it runs a task.  The atom's id names
+the layer it attacks, and its ``@N`` counts that layer's unit:
 
-* **before** running an attempt (:meth:`FaultPlan.fire`): ``raise`` /
-  ``config`` / ``hang`` faults trigger here, exercising the retry,
-  no-retry, and timeout paths respectively;
-* **after** checkpointing a finished table
-  (:meth:`FaultPlan.should_corrupt`): ``corrupt`` faults flip bytes in
-  the just-written checkpoint so a later ``--resume`` must detect the
-  bad checksum and recompute.
+* an **experiment id** (``T1``) and the experiment's attempt (``run_all``);
+* ``block<N>`` and that rep-block's execution (the shard supervisor);
+* ``worker`` and the pool-wide dispatch sequence (``repro serve``).
 
-Fault kinds:
+The compact spec syntax used by ``--inject-faults`` is ``ID:KIND@N``
+joined by commas, e.g. ``"T1:raise@1,T7:hang@2"`` (``@N`` defaults to 1).
+
+Experiment fault kinds:
 
 ``raise``
-    Raise :class:`InjectedFaultError` (a transient crash; the runner
-    retries it with backoff).
+    Raise :class:`InjectedFaultError` (a transient crash; retried with
+    backoff).
 ``config``
     Raise :class:`~repro.errors.ConfigurationError` (a permanent,
     never-retried failure).
 ``hang``
     Sleep until the supervisor's wall-clock timeout kills the worker.
 ``corrupt``
-    Let the attempt succeed, then corrupt its on-disk checkpoint.
+    Let the attempt succeed, then corrupt its on-disk checkpoint
+    (:meth:`FaultPlan.should_corrupt`), so a later ``--resume`` must
+    detect the bad checksum and recompute.
 
-The compact spec syntax used by ``run_all --inject-faults`` is
-``ID:KIND@ATTEMPT`` joined by commas, e.g. ``"T1:raise@1,T7:hang@2"``
-(``@ATTEMPT`` defaults to 1).
-
-**Shard-level faults** target the block supervisor
-(:mod:`repro.experiments.shard_supervisor`) instead of an experiment:
-the pseudo-id ``block<N>`` names the N-th work unit of a sharded sweep
-(its deterministic global task ordinal, counting ``(spec, block)`` pairs
-in dispatch order), and ``@EXECUTION`` counts that block's dispatches --
-so ``block2:kill@1`` SIGKILLs the worker the first time block 2 runs,
-and the retry (execution 2) is undisturbed.  Block fault kinds:
+**Shard-level faults**: the pseudo-id ``block<N>`` names the N-th work
+unit of a sharded sweep (its deterministic global task ordinal, counting
+``(spec, block)`` pairs in dispatch order), and ``@EXECUTION`` counts that
+block's dispatches -- so ``block2:kill@1`` SIGKILLs the worker the first
+time block 2 runs, and the retry (execution 2) is undisturbed.  Block
+fault kinds:
 
 ``kill``
     ``SIGKILL`` the worker process mid-block: exercises death detection
@@ -49,12 +47,11 @@ and the retry (execution 2) is undisturbed.  Block fault kinds:
     Let the block succeed but deterministically perturb its results:
     exercises speculative-duplicate mismatch detection.
 
-**Service-level faults** target the job-service worker fleet
-(:mod:`repro.service.supervisor`) instead of an experiment or block.
-Three pseudo-ids name the substrate being attacked, and ``@SEQ`` counts
-*dispatches across the whole fleet* (the supervisor's global job
-sequence, starting at 1) -- so a requeued run's retry lands on the next
-sequence number and is undisturbed unless separately targeted:
+**Service-level faults** target the job service's workers.  Three
+pseudo-ids name the substrate being attacked, and ``@SEQ`` counts
+*dispatches across the whole pool* (starting at 1) -- so a requeued run's
+retry lands on the next sequence number and is undisturbed unless
+separately targeted:
 
 ``worker:kill@SEQ`` / ``worker:hang@SEQ``
     SIGKILL the worker process executing dispatch SEQ (exercises death
@@ -68,6 +65,9 @@ sequence number and is undisturbed unless separately targeted:
 ``disk:full@SEQ``
     Make every atomic write during dispatch SEQ fail with ``ENOSPC``
     (via :func:`repro.experiments.checkpoint.failing_writes`).
+
+The last two act inside the service's run executor
+(:class:`repro.service.chaos.ServiceFaultPlan`).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ FAULT_KINDS = ("raise", "config", "hang", "corrupt")
 BLOCK_FAULT_KINDS = ("kill", "hang", "corrupt-result")
 
 #: Service-level pseudo-ids and the fault kinds each accepts
-#: (see repro.service.chaos; ``@SEQ`` counts fleet-wide dispatches).
+#: (``@SEQ`` counts pool-wide dispatches).
 SERVICE_FAULT_KINDS = {
     "worker": ("kill", "hang"),
     "store": ("tamper",),
@@ -125,7 +125,10 @@ class Fault:
     attempt: int = 1
 
     def __post_init__(self):
-        if self.block_index() is not None:
+        index = self.block_index()
+        if index is not None:
+            # One spelling per block, so the pool's ``block<N>`` lookup hits.
+            object.__setattr__(self, "exp_id", f"block{index}")
             if self.kind not in BLOCK_FAULT_KINDS:
                 raise ConfigurationError(
                     f"unknown block fault kind {self.kind!r} for "
@@ -231,22 +234,39 @@ class FaultPlan:
                 return fault
         return None
 
-    def fire(self, exp_id: str, attempt: int) -> None:
-        """Trigger any pre-run fault for this attempt (called in the worker)."""
-        fault = self.fault_for(exp_id, attempt)
-        if fault is None or fault.kind == "corrupt":
+    def fire(self, target: str, execution: int, seq: int = 0,
+             in_process: bool = False) -> None:
+        """Trigger the kill/hang/raise/config fault planned for one execution.
+
+        *target* is the task's atom id (an experiment id, ``block<N>`` or
+        ``worker``); ``worker`` atoms count the pool's dispatch sequence
+        *seq*, all others the task's *execution*.  With ``in_process=True``
+        (a pool running tasks inline) ``kill``/``hang`` raise
+        :class:`~repro.errors.ConfigurationError` instead of firing:
+        killing or hanging would take down the caller itself, and a chaos
+        drill that silently skips its faults is worse than one that fails
+        loudly.
+        """
+        fault = self.fault_for(target, seq if target == "worker" else execution)
+        if fault is None or fault.kind not in ("raise", "config", "kill", "hang"):
             return
         if fault.kind == "raise":
             raise InjectedFaultError(
-                f"injected transient crash ({exp_id} attempt {attempt})"
+                f"injected transient crash ({target} attempt {execution})"
             )
         if fault.kind == "config":
             raise ConfigurationError(
-                f"injected permanent config failure ({exp_id} attempt {attempt})"
+                f"injected permanent config failure ({target} attempt {execution})"
             )
-        if fault.kind == "hang":
-            while True:  # hold the worker until the supervisor kills it
-                time.sleep(_HANG_NAP_S)
+        if in_process:
+            raise ConfigurationError(
+                f"injected {fault.to_spec()} fault needs worker processes; "
+                "run with jobs > 1"
+            )
+        if fault.kind == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        while True:  # hang: hold the worker until the supervisor kills it
+            time.sleep(_HANG_NAP_S)
 
     def should_corrupt(self, exp_id: str, attempt: int) -> bool:
         """Whether to corrupt the checkpoint written by this attempt."""
@@ -257,44 +277,7 @@ class FaultPlan:
 
     def block_fault_for(self, task_id: int, execution: int) -> Fault | None:
         """The fault planned for this (task ordinal, execution), if any."""
-        for fault in self.faults:
-            if fault.block_index() == task_id and fault.attempt == execution:
-                return fault
-        return None
-
-    def fire_block(self, task_id: int, execution: int,
-                   in_process: bool = False) -> None:
-        """Trigger any pre-run block fault (called inside the shard worker).
-
-        With ``in_process=True`` (the supervisor's ``jobs=1`` inline path)
-        ``kill``/``hang`` faults raise :class:`~repro.errors
-        .ConfigurationError` instead of firing: killing or hanging would
-        take down the caller itself, and a chaos drill that silently
-        skips its faults is worse than one that fails loudly.
-        """
-        fault = self.block_fault_for(task_id, execution)
-        if fault is None or fault.kind == "corrupt-result":
-            return
-        if in_process:
-            raise ConfigurationError(
-                f"injected {fault.kind}@block fault for block {task_id} "
-                f"(execution {execution}) needs worker processes; run the "
-                "sharded sweep with jobs > 1"
-            )
-        if fault.kind == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        if fault.kind == "hang":
-            while True:  # hold the worker until its block deadline kills it
-                time.sleep(_HANG_NAP_S)
-
-    # -- service-level faults -----------------------------------------------
-
-    def service_fault_for(self, target: str, seq: int) -> Fault | None:
-        """The fault planned for (substrate, fleet dispatch seq), if any."""
-        for fault in self.faults:
-            if fault.exp_id == target and fault.attempt == seq:
-                return fault
-        return None
+        return self.fault_for(f"block{task_id}", execution)
 
     def service_seqs(self) -> tuple[int, ...]:
         """All dispatch sequence numbers named by service faults (sorted)."""

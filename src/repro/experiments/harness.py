@@ -419,18 +419,13 @@ class ShardedScheduler:
     telemetry_jsonable | None)``; each block's telemetry shard is merged
     into the caller's live sink exactly once.
 
-    ``supervised=True`` (the default) executes blocks through the
-    block-level supervisor (:class:`repro.experiments.shard_supervisor
-    .BlockSupervisor`): per-block deadlines with kill-on-timeout, worker
-    death detection and re-dispatch, bounded seeded-backoff retry,
-    poison-block quarantine (``keep_going``), straggler speculation, and
-    atomic block checkpoints (``checkpoint_dir``).  ``supervised=False``
-    keeps the plain persistent ``Pool.map`` path -- no recovery, but
-    marginally less dispatch bookkeeping; it is the baseline the
-    supervised path's overhead gate is measured against.
-
-    Use as a context manager; the legacy pool persists across :meth:`run`
-    calls (the supervised path spawns its workers per run):
+    Blocks execute through the block-level supervisor
+    (:class:`repro.experiments.shard_supervisor.BlockSupervisor`):
+    per-block deadlines with kill-on-timeout, worker death detection and
+    re-dispatch, bounded seeded-backoff retry, poison-block quarantine
+    (``keep_going``), straggler speculation, and atomic block checkpoints
+    (``checkpoint_dir``).  Each :meth:`run` starts and stops its own
+    workers; the context-manager form is kept for callers' scoping:
 
     >>> with ShardedScheduler(jobs=4) as sched:           # doctest: +SKIP
     ...     tables = sched.run(run_shard, specs_a)
@@ -441,9 +436,7 @@ class ShardedScheduler:
         self,
         jobs: int | None = None,
         block_size: int = 64,
-        threadsafe: bool = False,
         *,
-        supervised: bool = True,
         retry=None,
         block_timeout: float | None = None,
         keep_going: bool = False,
@@ -452,44 +445,27 @@ class ShardedScheduler:
         fault_plan=None,
     ) -> None:
         from repro.experiments.parallel import default_jobs
+        from repro.experiments.retry import RetryPolicy
+        from repro.experiments.shard_supervisor import SupervisionConfig
 
-        if jobs is None:
-            jobs = default_jobs()
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if block_size < 1:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-        self.jobs = int(jobs)
         self.block_size = int(block_size)
-        self.threadsafe = bool(threadsafe)
-        self.supervised = bool(supervised)
-        self.retry = retry
-        self.block_timeout = block_timeout
-        self.keep_going = bool(keep_going)
-        self.speculate = bool(speculate)
         self.checkpoint_dir = checkpoint_dir
-        self.fault_plan = fault_plan
-        self._pool = None
+        self.config = SupervisionConfig(
+            jobs=default_jobs() if jobs is None else int(jobs),
+            retry=retry if retry is not None else RetryPolicy(),
+            block_timeout=block_timeout,
+            keep_going=bool(keep_going),
+            speculate=bool(speculate),
+            fault_plan=fault_plan,
+        )
 
     def __enter__(self) -> "ShardedScheduler":
-        from repro.experiments.parallel import subprocess_context
-
-        if not self.supervised and self.jobs > 1:
-            ctx = subprocess_context(self.threadsafe)
-            self._pool = ctx.Pool(processes=self.jobs)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._pool is not None:
-            if exc_type is not None:
-                # A failing sweep must not block on in-flight pool work:
-                # close()+join() waits for every dispatched item, which can
-                # hang forever behind a wedged worker.
-                self._pool.terminate()
-            else:
-                self._pool.close()
-            self._pool.join()
-            self._pool = None
+        return None
 
     def blocks_for(self, reps: int) -> list[int]:
         """The fixed rep-block partition of *reps* (jobs-independent)."""
@@ -499,16 +475,15 @@ class ShardedScheduler:
         return [self.block_size] * full + ([rest] if rest else [])
 
     def _items_for(self, specs: Sequence):
-        """Expand specs into per-block work items plus regrouping indices."""
-        items: list[tuple] = []
-        groups: list[list[int]] = []
-        for spec in specs:
-            idxs = []
-            for block_index, block_reps in enumerate(self.blocks_for(spec.reps)):
-                idxs.append(len(items))
-                items.append((spec, block_index, block_reps))
-            groups.append(idxs)
-        return items, groups
+        """Per-block ``(spec_index, block_index, (spec, block_index,
+        block_reps))`` units, plus each spec's unit indices."""
+        units: list[tuple] = []
+        groups: list[range] = []
+        for spec_index, spec in enumerate(specs):
+            blocks = self.blocks_for(spec.reps)
+            groups.append(range(len(units), len(units) + len(blocks)))
+            units += [(spec_index, b, (spec, b, reps)) for b, reps in enumerate(blocks)]
+        return units, groups
 
     def run(self, worker: Callable, specs: Sequence) -> list[list]:
         """Run *worker* over every spec's rep-blocks; one result list per spec.
@@ -518,12 +493,10 @@ class ShardedScheduler:
         module-level function when ``jobs > 1`` (worker dispatch pickles
         by reference).
         """
-        if self.supervised:
-            merged, _shards, _report = self.run_report(
-                worker, specs, collect_spec_shards=False
-            )
-            return merged
-        return self._run_pool(worker, specs)
+        merged, _shards, _report = self.run_report(
+            worker, specs, collect_spec_shards=False
+        )
+        return merged
 
     def run_report(
         self,
@@ -549,39 +522,19 @@ class ShardedScheduler:
         every block's telemetry only to discard it is where the supervised
         path would otherwise lose its overhead budget.
         """
-        if not self.supervised:
-            raise ConfigurationError(
-                "run_report requires a supervised scheduler; the legacy "
-                "Pool.map path has no supervision report"
-            )
         from repro.experiments.shard_supervisor import (
             BlockCheckpointStore,
             BlockSupervisor,
-            SupervisionConfig,
         )
-        from repro.experiments.retry import RetryPolicy
 
-        items, groups = self._items_for(specs)
-        config = SupervisionConfig(
-            jobs=self.jobs,
-            retry=self.retry if self.retry is not None else RetryPolicy(),
-            block_timeout=self.block_timeout,
-            keep_going=self.keep_going,
-            speculate=self.speculate,
-            fault_plan=self.fault_plan,
-            threadsafe=self.threadsafe,
-        )
+        units, groups = self._items_for(specs)
         store = (
             BlockCheckpointStore(self.checkpoint_dir)
             if self.checkpoint_dir is not None
             else None
         )
-        supervisor = BlockSupervisor(worker, config, store)
-        supervisor_items = []
-        for spec_index, idxs in enumerate(groups):
-            for i in idxs:
-                supervisor_items.append((spec_index, items[i][1], items[i]))
-        payloads, report = supervisor.run(supervisor_items, self.block_size)
+        supervisor = BlockSupervisor(worker, self.config, store)
+        payloads, report = supervisor.run(units, self.block_size)
 
         merged: list[list] = []
         spec_shards: list[Telemetry | None] = []
@@ -603,32 +556,6 @@ class ShardedScheduler:
             merged.append(spec_results)
             spec_shards.append(shard)
         return merged, spec_shards, report
-
-    def _run_pool(self, worker: Callable, specs: Sequence) -> list[list]:
-        """The legacy unsupervised ``Pool.map`` path (overhead baseline)."""
-        items, groups = self._items_for(specs)
-        if self._pool is None:
-            outs = [worker(item) for item in items]
-            pooled = False
-        else:
-            from repro.experiments.parallel import _check_picklable_fn
-
-            _check_picklable_fn(worker)
-            chunksize = max(1, len(items) // (self.jobs * 4))
-            outs = self._pool.map(worker, items, chunksize=chunksize)
-            pooled = True
-
-        tel = get_telemetry()
-        merged: list[list] = []
-        for idxs in groups:
-            spec_results: list = []
-            for i in idxs:
-                results, tel_json = outs[i]
-                spec_results.extend(results)
-                if pooled and tel.enabled and tel_json:
-                    tel.merge(Telemetry.from_jsonable(tel_json))
-            merged.append(spec_results)
-        return merged
 
 
 def _record_cell(results: Sequence, path: tuple) -> None:

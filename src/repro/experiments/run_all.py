@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from pathlib import Path
 
 from repro.errors import ConfigurationError
@@ -107,26 +106,24 @@ def run_experiment(exp_id: str, preset: str):
 class _OrderedPrinter:
     """Emit per-experiment output in ``ids`` order as outcomes stream in.
 
-    The runner finalizes experiments in completion order (and from
-    dispatcher threads with ``--jobs N``); buffering out-of-order results
-    keeps stdout deterministic without delaying everything to the end.
+    The runner finalizes experiments in completion order; buffering
+    out-of-order results keeps stdout deterministic without delaying
+    everything to the end.
     """
 
     def __init__(self, ids: list[str]):
         self._order = list(ids)
         self._buffer: dict[str, ExperimentOutcome] = {}
         self._next = 0
-        self._lock = threading.Lock()
 
     def __call__(self, outcome: ExperimentOutcome) -> None:
-        with self._lock:
-            self._buffer[outcome.exp_id] = outcome
-            while self._next < len(self._order):
-                ready = self._buffer.pop(self._order[self._next], None)
-                if ready is None:
-                    break
-                self._next += 1
-                self._print(ready)
+        self._buffer[outcome.exp_id] = outcome
+        while self._next < len(self._order):
+            ready = self._buffer.pop(self._order[self._next], None)
+            if ready is None:
+                break
+            self._next += 1
+            self._print(ready)
 
     @staticmethod
     def _print(outcome: ExperimentOutcome) -> None:

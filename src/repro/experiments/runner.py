@@ -4,10 +4,13 @@
 a multi-hour run and discarded every completed table.  This module wraps
 each experiment in a *supervised unit of work*, in the same spirit as the
 paper's protocols, which make progress despite an adversary disrupting a
-``(T, 1-eps)`` fraction of slots:
+``(T, 1-eps)`` fraction of slots.  Every attempt is one task of the
+supervised :class:`~repro.experiments.parallel.WorkerPool`:
 
-* **isolation** -- every attempt runs in its own worker process, so a
-  crash (or even a SIGKILL/OOM kill) loses one attempt, not the run;
+* **isolation** -- every attempt runs in a fresh forked worker process,
+  so a crash (or even a SIGKILL/OOM kill) loses one attempt, not the run,
+  and no attempt inherits another's memory; ``--jobs N`` runs N attempts
+  at once;
 * **timeout** -- a wall-clock budget per attempt; a hung worker is killed
   and recorded as :class:`~repro.errors.ExperimentTimeoutError`, never
   waited on forever;
@@ -33,21 +36,17 @@ and restored checkpoints render byte-identically by construction.
 from __future__ import annotations
 
 import importlib
-import threading
 import time
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait as futures_wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
 from typing import Callable
 
 from repro import telemetry as _telemetry
-from repro.errors import ChecksumMismatchError, ConfigurationError, ReproError
+from repro.errors import ChecksumMismatchError, ConfigurationError
 from repro.experiments.checkpoint import RunDir, atomic_write_text, corrupt_checkpoint
 from repro.experiments.faults import FaultPlan
 from repro.experiments.harness import Column, Table
-from repro.experiments.parallel import subprocess_context
+from repro.experiments.parallel import PoolEvent, WorkerPool
 from repro.experiments.retry import RetryPolicy
 from repro.experiments.shard_supervisor import shard_context
 from repro.telemetry.export import prometheus_text, write_jsonl
@@ -131,83 +130,38 @@ class ExperimentOutcome:
         return self.status in _OK_STATUSES
 
 
-class _AttemptFailure(Exception):
-    """Internal: one attempt failed; carries retryability and diagnostics."""
+def _attempt_worker(module_name, preset, exp_id, seed, tel_stride=None, shard=None):
+    """Pool task body: run one experiment attempt, return its table.
 
-    def __init__(self, kind: str, message: str, tb: str | None, permanent: bool):
-        super().__init__(message)
-        self.kind = kind  # "error" | "crash" | "timeout"
-        self.message = message
-        self.tb = tb
-        self.permanent = permanent
-
-
-def _attempt_worker(
-    conn, module_name, exp_id, preset, seed, attempt, fault_plan, tel_stride=None,
-    shard=None,
-):
-    """Child-process body: run one experiment attempt, ship the result back.
-
-    Module-level (picklable by reference) so it works under fork,
-    forkserver and spawn alike.  All exceptions -- including injected
-    faults -- are serialized rather than raised, so the parent can decide
-    retryability; only a hard kill leaves the pipe empty.
-
-    With *tel_stride* set, the attempt runs under a fresh scoped telemetry
-    sink and its registry ships home alongside the table (as JSON, the
-    same merge-safe form the exporters use), so the parent can aggregate
-    across processes regardless of the start method.
-
-    With *shard* set (a dict of :class:`~repro.experiments
-    .shard_supervisor.ShardContext` fields), the attempt installs the
-    ambient shard context so the experiment's cells run on the supervised
-    sharded path; the child process is discarded afterwards, so no
-    restore is needed.
+    Module-level (picklable by reference).  Results cross the process
+    boundary as the table's JSON form.  With *tel_stride* set, the attempt
+    runs under a fresh scoped telemetry sink and its registry ships home
+    alongside the table (as JSON, the same merge-safe form the exporters
+    use), so the parent aggregates across processes.  With *shard* set (a
+    dict of :class:`~repro.experiments.shard_supervisor.ShardContext`
+    fields), the attempt installs the ambient shard context so the
+    experiment's cells run on the supervised sharded path.
     """
-    try:
+    kwargs = {"preset": preset}
+    if seed is not None:
+        kwargs["seed"] = seed
+    with ExitStack() as stack:
         if shard is not None:
-            from repro.experiments.shard_supervisor import (
-                ShardContext as _ShardContext,
-                configure_shard_context,
-            )
-
-            configure_shard_context(_ShardContext(**shard))
-        if fault_plan is not None:
-            fault_plan.fire(exp_id, attempt)
+            stack.enter_context(shard_context(**shard))
         module = importlib.import_module(module_name)
-        kwargs = {"preset": preset}
-        if seed is not None:
-            kwargs["seed"] = seed
-        if tel_stride is not None:
-            with _telemetry.collecting(stride=tel_stride) as tel:
-                table = module.run(**kwargs)
-            conn.send(
-                (
-                    "ok",
-                    {"table": table.to_jsonable(), "telemetry": tel.to_jsonable()},
-                )
-            )
-        else:
-            table = module.run(**kwargs)
-            conn.send(("ok", table.to_jsonable()))
-    except BaseException as exc:  # noqa: BLE001 -- ship *everything* home
-        conn.send(
-            (
-                "error",
-                {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "traceback": traceback.format_exc(),
-                    "permanent": isinstance(exc, ReproError),
-                },
-            )
-        )
-    finally:
-        conn.close()
+        if tel_stride is None:
+            return module.run(**kwargs).to_jsonable()
+        tel = stack.enter_context(_telemetry.collecting(stride=tel_stride))
+        table = module.run(**kwargs)
+    return {"table": table.to_jsonable(), "telemetry": tel.to_jsonable()}
 
 
 class Runner:
     """Supervised execution of a list of experiments.
+
+    Each attempt is one task of a :class:`~repro.experiments.parallel
+    .WorkerPool` with ``config.jobs`` slots, run in a fresh worker process
+    (``isolate``, the default) or inline.
 
     Parameters
     ----------
@@ -244,42 +198,17 @@ class Runner:
         self.config = config
         self.run_dir = run_dir
         self.resume = resume
-        # Worker processes are forked directly when dispatch is
-        # single-threaded; multi-threaded dispatch needs a thread-safe
-        # start method (forking under live threads can deadlock in BLAS).
-        self._ctx = subprocess_context(threadsafe=config.jobs > 1)
-        # Run-level telemetry aggregate; attempt shards merge in under a
-        # lock because multi-job dispatch finalizes from pool threads.
+        # Run-level telemetry aggregate; attempt shards merge in.
         self.telemetry: _telemetry.Telemetry | None = (
             _telemetry.Telemetry(stride=config.telemetry_stride)
             if config.telemetry
             else None
         )
-        self._tel_lock = threading.Lock()
-
-    # -- single attempt ----------------------------------------------------
+        self._started: dict[str, float] = {}  # first attempt's start
 
     def _journal(self, record: dict) -> None:
         if self.run_dir is not None:
             self.run_dir.append_journal(record)
-
-    def _attempt(self, exp_id: str, attempt: int) -> Table:
-        """Run one attempt; returns the table or raises :class:`_AttemptFailure`."""
-        if self.config.isolate:
-            status, payload = self._attempt_isolated(exp_id, attempt)
-        else:
-            status, payload = self._attempt_inline(exp_id, attempt)
-        if status == "ok":
-            if isinstance(payload, dict) and "telemetry" in payload:
-                self._absorb_telemetry(exp_id, attempt, payload["telemetry"])
-                payload = payload["table"]
-            return Table.from_jsonable(payload)
-        raise _AttemptFailure(
-            kind="error",
-            message=f"{payload['type']}: {payload['message']}",
-            tb=payload.get("traceback"),
-            permanent=payload["permanent"],
-        )
 
     def _shard_settings(self) -> dict | None:
         """The ambient shard-context fields for attempts, or None.
@@ -300,105 +229,7 @@ class Runner:
             "block_timeout": self.config.shard_block_timeout,
             "checkpoint_dir": checkpoint_dir,
             "fault_plan": self.config.fault_plan,
-            # Inline attempts may be dispatched from runner threads; shard
-            # workers must then avoid fork-under-threads.
-            "threadsafe": not self.config.isolate and self.config.jobs > 1,
         }
-
-    def _attempt_inline(self, exp_id: str, attempt: int):
-        """In-process attempt (no isolation: hangs/timeouts unsupported)."""
-        try:
-            plan = self.config.fault_plan
-            if plan is not None:
-                plan.fire(exp_id, attempt)
-            module = importlib.import_module(self.modules[exp_id])
-            kwargs = {"preset": self.config.preset}
-            if self.config.seed is not None:
-                kwargs["seed"] = self.config.seed
-            shard = self._shard_settings()
-            with ExitStack() as stack:
-                if shard is not None:
-                    stack.enter_context(shard_context(**shard))
-                if self.config.telemetry:
-                    tel = stack.enter_context(
-                        _telemetry.collecting(stride=self.config.telemetry_stride)
-                    )
-                    table = module.run(**kwargs)
-                    table_json = table.to_jsonable()
-                    tel_json = tel.to_jsonable()
-                else:
-                    table_json, tel_json = module.run(**kwargs).to_jsonable(), None
-            if tel_json is not None:
-                return "ok", {"table": table_json, "telemetry": tel_json}
-            return "ok", table_json
-        except Exception as exc:  # noqa: BLE001 -- mirrors the worker protocol
-            return "error", {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-                "permanent": isinstance(exc, ReproError),
-            }
-
-    def _attempt_isolated(self, exp_id: str, attempt: int):
-        """Run one attempt in a killable worker process."""
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_attempt_worker,
-            args=(
-                send,
-                self.modules[exp_id],
-                exp_id,
-                self.config.preset,
-                self.config.seed,
-                attempt,
-                self.config.fault_plan,
-                self.config.telemetry_stride if self.config.telemetry else None,
-                self._shard_settings(),
-            ),
-            name=f"repro-{exp_id}-attempt{attempt}",
-        )
-        proc.start()
-        send.close()  # parent holds only the read end
-        try:
-            ready = connection_wait([recv, proc.sentinel], self.config.timeout)
-            if not ready:  # wall-clock budget exhausted: kill, don't wait
-                self._kill(proc)
-                raise _AttemptFailure(
-                    kind="timeout",
-                    message=(
-                        f"ExperimentTimeoutError: {exp_id} attempt {attempt} "
-                        f"exceeded {self.config.timeout:.1f}s and was killed"
-                    ),
-                    tb=None,
-                    permanent=not self.config.retry.retry_timeouts,
-                )
-            msg = None
-            try:
-                # The sentinel can fire while the result is still in flight;
-                # a short grace poll catches it either way.
-                if recv.poll(0.25):
-                    msg = recv.recv()
-            except (EOFError, OSError):
-                msg = None
-            if msg is None:  # died without reporting: crash / OOM / SIGKILL
-                proc.join(5)
-                raise _AttemptFailure(
-                    kind="crash",
-                    message=(
-                        f"worker for {exp_id} attempt {attempt} died without a "
-                        f"result (exit code {proc.exitcode})"
-                    ),
-                    tb=None,
-                    permanent=False,
-                )
-            proc.join(10)
-            if proc.is_alive():
-                self._kill(proc)
-            return msg
-        finally:
-            recv.close()
-            if proc.is_alive():
-                self._kill(proc)
 
     def _absorb_telemetry(self, exp_id: str, attempt: int, data: dict) -> None:
         """Merge one attempt's telemetry shard into the run-level aggregate.
@@ -410,8 +241,7 @@ class Runner:
         if self.telemetry is None:
             return
         shard = _telemetry.Telemetry.from_jsonable(data)
-        with self._tel_lock:
-            self.telemetry.merge(shard)
+        self.telemetry.merge(shard)
         self._journal(
             {
                 "event": "telemetry",
@@ -440,95 +270,45 @@ class Runner:
             tel_dir / TELEMETRY_PROM, prometheus_text(self.telemetry.metrics)
         )
 
-    @staticmethod
-    def _kill(proc) -> None:
-        proc.terminate()
-        proc.join(5)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(5)
+    # -- attempts ----------------------------------------------------------
 
-    # -- one experiment, with retries -------------------------------------
+    def _attempt_start(self, task, attempt: int, seq: int) -> tuple:
+        """Pool dispatch hook: journal the attempt before its worker spawns."""
+        self._started.setdefault(task.key, time.perf_counter())
+        self._journal({"event": "attempt_start", "id": task.key, "attempt": attempt})
+        return task.args
 
-    def _supervise(self, exp_id: str) -> ExperimentOutcome:
-        """Drive one experiment through attempts, checkpoint its result."""
-        policy = self.config.retry
-        started = time.perf_counter()
-        last: _AttemptFailure | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            self._journal({"event": "attempt_start", "id": exp_id, "attempt": attempt})
-            attempt_start = time.perf_counter()
-            try:
-                table = self._attempt(exp_id, attempt)
-            except _AttemptFailure as failure:
-                last = failure
-                self._journal(
-                    {
-                        "event": "attempt_end",
-                        "id": exp_id,
-                        "attempt": attempt,
-                        "status": failure.kind,
-                        "elapsed": round(time.perf_counter() - attempt_start, 3),
-                        "error": failure.message,
-                        "traceback": failure.tb,
-                        "permanent": failure.permanent,
-                    }
-                )
-                if failure.permanent or attempt == policy.max_attempts:
-                    break
-                time.sleep(policy.delay(exp_id, attempt))
-                continue
-            elapsed = time.perf_counter() - started
-            self._journal(
-                {
-                    "event": "attempt_end",
-                    "id": exp_id,
-                    "attempt": attempt,
-                    "status": "ok",
-                    "elapsed": round(time.perf_counter() - attempt_start, 3),
-                }
-            )
+    def _attempt_end(self, event: PoolEvent) -> ExperimentOutcome | None:
+        """Journal one finished attempt; the experiment's outcome once it
+        is settled, None while it is being retried."""
+        exp_id, attempt = event.task.key, event.execution
+        elapsed = time.perf_counter() - self._started[exp_id]
+        record = {"event": "attempt_end", "id": exp_id, "attempt": attempt,
+                  "status": event.kind, "elapsed": round(event.elapsed, 3)}
+        if event.kind == "ok":
+            self._journal(record)
+            payload = event.result
+            if isinstance(payload, dict) and "telemetry" in payload:
+                self._absorb_telemetry(exp_id, attempt, payload["telemetry"])
+                payload = payload["table"]
+            table = Table.from_jsonable(payload)
             checksum = self._checkpoint(table, exp_id, attempt)
-            self._journal(
-                {
-                    "event": "done",
-                    "id": exp_id,
-                    "status": "ok",
-                    "attempts": attempt,
-                    "elapsed": round(elapsed, 3),
-                    "checksum": checksum,
-                }
-            )
-            return ExperimentOutcome(
-                exp_id=exp_id,
-                status="ok",
-                table=table,
-                attempts=attempt,
-                elapsed=elapsed,
-                checksum=checksum,
-            )
-        assert last is not None
-        elapsed = time.perf_counter() - started
-        status = "timeout" if last.kind == "timeout" else "failed"
-        self._journal(
-            {
-                "event": "done",
-                "id": exp_id,
-                "status": status,
-                "attempts": attempt,
-                "elapsed": round(elapsed, 3),
-                "error": last.message,
-                "traceback": last.tb,
-            }
-        )
-        return ExperimentOutcome(
-            exp_id=exp_id,
-            status=status,
-            attempts=attempt,
-            elapsed=elapsed,
-            error=last.message,
-            traceback=last.tb,
-        )
+            outcome = ExperimentOutcome(exp_id, "ok", table=table, checksum=checksum)
+            done = {"checksum": checksum}
+        else:
+            error = event.message
+            if event.kind == "timeout":
+                error = f"ExperimentTimeoutError: {error}"
+            done = {"error": error, "traceback": event.traceback}
+            self._journal({**record, **done, "permanent": event.permanent})
+            if event.task.state != "failed":
+                return None
+            status = "timeout" if event.kind == "timeout" else "failed"
+            outcome = ExperimentOutcome(exp_id, status, **done)
+        outcome.attempts, outcome.elapsed = attempt, elapsed
+        self._journal({"event": "done", "id": exp_id, "status": outcome.status,
+                       "attempts": attempt, "elapsed": round(elapsed, 3), **done})
+        return outcome
 
     def _checkpoint(self, table: Table, exp_id: str, attempt: int) -> str | None:
         """Snapshot a finished table (and apply any planned corruption)."""
@@ -564,56 +344,55 @@ class Runner:
     ) -> list[ExperimentOutcome]:
         """Run every experiment; returns outcomes in ``ids`` order.
 
-        *on_outcome* is invoked as each experiment finalizes (possibly from
-        a dispatcher thread, in completion order).  With ``keep_going``
-        off, the first failure stops dispatch; experiments never started
-        are reported with status ``"aborted"``.
+        *on_outcome* is invoked as each experiment finalizes, in completion
+        order.  With ``keep_going`` off, the first failure stops dispatch;
+        experiments never started are reported with status ``"aborted"``.
         """
         outcomes: dict[str, ExperimentOutcome] = {}
         emit = on_outcome or (lambda outcome: None)
+
+        def settle(outcome: ExperimentOutcome) -> None:
+            outcomes[outcome.exp_id] = outcome
+            emit(outcome)
 
         pending: list[str] = []
         for exp_id in self.ids:
             restored = self._restore(exp_id)
             if restored is not None:
-                outcomes[exp_id] = restored
-                emit(restored)
+                settle(restored)
             else:
                 pending.append(exp_id)
 
-        if self.config.jobs == 1:
+        config = self.config
+        tel_stride = config.telemetry_stride if config.telemetry else None
+        shard = self._shard_settings()
+        with WorkerPool(
+            _attempt_worker,
+            config.jobs,
+            retry=config.retry,
+            timeout=config.timeout,
+            fault_plan=config.fault_plan,
+            in_process=not config.isolate,
+            fresh=True,
+            before_dispatch=self._attempt_start,
+        ) as pool:
             for exp_id in pending:
-                if not self.config.keep_going and any(
-                    not o.ok for o in outcomes.values()
-                ):
-                    outcomes[exp_id] = ExperimentOutcome(exp_id, "aborted")
-                    self._journal({"event": "aborted", "id": exp_id})
-                    emit(outcomes[exp_id])
-                    continue
-                outcomes[exp_id] = self._supervise(exp_id)
-                emit(outcomes[exp_id])
-        elif pending:
-            with ThreadPoolExecutor(
-                max_workers=min(self.config.jobs, len(pending)),
-                thread_name_prefix="repro-runner",
-            ) as pool:
-                futures = {pool.submit(self._supervise, i): i for i in pending}
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = futures_wait(
-                        not_done, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        exp_id = futures[future]
-                        if future.cancelled():
-                            outcomes[exp_id] = ExperimentOutcome(exp_id, "aborted")
-                            self._journal({"event": "aborted", "id": exp_id})
-                        else:
-                            outcomes[exp_id] = future.result()
-                        emit(outcomes[exp_id])
-                        if not outcomes[exp_id].ok and not self.config.keep_going:
-                            for pending_future in not_done:
-                                pending_future.cancel()
+                pool.submit(
+                    exp_id,
+                    (self.modules[exp_id], config.preset, exp_id, config.seed,
+                     tel_stride, shard),
+                    fault_id=exp_id,
+                )
+            while pool.unfinished():
+                for event in pool.poll():
+                    outcome = self._attempt_end(event)
+                    if outcome is None:
+                        continue
+                    settle(outcome)
+                    if not outcome.ok and not config.keep_going:
+                        for task in pool.drop_unstarted():
+                            self._journal({"event": "aborted", "id": task.key})
+                            settle(ExperimentOutcome(task.key, "aborted"))
 
         if self.run_dir is not None:
             failures = [o for o in outcomes.values() if not o.ok]

@@ -4,24 +4,16 @@ poisoned workers.
 
 The paper's protocols make progress although an adversary may disrupt a
 ``(T, 1-eps)`` fraction of slots; this module ports that mindset to the
-sweep scheduler itself.  ``ShardedScheduler`` used to be a bare
-``Pool.map`` -- one SIGKILL, hang, or poison block lost the entire sweep.
-The supervisor replaces that with:
+sweep scheduler itself.  Each rep-block is one task of the supervised
+:class:`~repro.experiments.parallel.WorkerPool` (persistent workers; inline
+for ``jobs=1``), which supplies per-block deadlines, death detection and
+re-dispatch, bounded seeded retry (:class:`~repro.experiments.retry
+.RetryPolicy`; :class:`~repro.errors.ReproError` failures are permanent)
+and quarantine.  On top of the pool, :class:`BlockSupervisor` adds:
 
-* **async block dispatch** -- one work item per message on a persistent
-  worker-process pool, so a failure costs one block, never the sweep;
-* **per-block deadlines** -- a hung block is killed at its wall-clock
-  budget and its worker respawned;
-* **death detection** -- a worker that dies without reporting (SIGKILL,
-  OOM) is detected via its process sentinel and the orphaned block is
-  re-dispatched onto a respawned worker;
-* **bounded retry** -- transient failures back off exponentially with
-  seeded jitter (:class:`~repro.experiments.retry.RetryPolicy`, the PR-2
-  machinery); :class:`~repro.errors.ReproError` failures are permanent by
-  contract and never retried;
-* **quarantine** -- a block that exhausts its attempts is quarantined;
-  with ``keep_going`` the sweep completes around it and reports a
-  failure table, otherwise :class:`~repro.errors.ShardFailureError`;
+* **graceful degradation** -- with ``keep_going`` the sweep completes
+  around quarantined blocks and reports a failure table, otherwise
+  :class:`~repro.errors.ShardFailureError`;
 * **speculative re-execution** -- block seeds derive from
   ``(root_seed, *path, SHARD_BLOCK_TAG, b)``, so every block is a pure
   deterministic function: duplicating a straggler is safe, the first
@@ -50,24 +42,21 @@ import logging
 import signal
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro import telemetry as _telemetry
-from repro.errors import ConfigurationError, ReproError, ShardFailureError
+from repro.errors import ConfigurationError, ShardFailureError
+from repro.experiments.parallel import PoolEvent, WorkerPool
 from repro.experiments.retry import RetryPolicy
 from repro.telemetry import get_telemetry
 
 __all__ = [
     "ShardContext",
     "get_shard_context",
-    "configure_shard_context",
     "shard_context",
-    "active_shard_jobs",
     "SupervisionConfig",
     "BlockFailure",
     "ShardReport",
@@ -105,13 +94,9 @@ class ShardContext:
     block_timeout: float | None = None
     checkpoint_dir: str | None = None
     fault_plan: object | None = None  # experiments.faults.FaultPlan
-    #: Use a thread-safe start method for shard workers (needed when cells
-    #: are dispatched from runner threads rather than the main thread).
-    threadsafe: bool = False
 
 
-_INERT_CONTEXT = ShardContext()
-_active_context: ShardContext = _INERT_CONTEXT
+_active_context = ShardContext()
 
 
 def get_shard_context() -> ShardContext:
@@ -119,27 +104,15 @@ def get_shard_context() -> ShardContext:
     return _active_context
 
 
-def configure_shard_context(ctx: ShardContext | None) -> ShardContext:
-    """Install *ctx* (None resets to inert); returns the previous context."""
-    global _active_context
-    previous = _active_context
-    _active_context = ctx if ctx is not None else _INERT_CONTEXT
-    return previous
-
-
 @contextmanager
 def shard_context(**kwargs):
-    """Scoped :func:`configure_shard_context` for tests and library callers."""
-    previous = configure_shard_context(ShardContext(**kwargs))
+    """Install a :class:`ShardContext` for the duration of the block."""
+    global _active_context
+    previous, _active_context = _active_context, ShardContext(**kwargs)
     try:
-        yield get_shard_context()
+        yield _active_context
     finally:
-        configure_shard_context(previous)
-
-
-def active_shard_jobs() -> int | None:
-    """The ambient shard job count, or None when sharding is not forced."""
-    return _active_context.jobs
+        _active_context = previous
 
 
 # -- report -----------------------------------------------------------------
@@ -328,7 +301,6 @@ class SupervisionConfig:
     straggler_factor: float = 4.0
     straggler_min_done: int = 3
     fault_plan: object | None = None  # experiments.faults.FaultPlan
-    threadsafe: bool = False
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -343,156 +315,12 @@ class SupervisionConfig:
             )
 
 
-# -- worker process body ----------------------------------------------------
-
-
-def _block_worker_main(conn, worker_fn, fault_plan) -> None:
-    """Child-process loop: receive ``(task_id, execution, item)``, run, reply.
-
-    Module-level (picklable by reference) so it works under fork,
-    forkserver and spawn alike.  Exceptions are serialized rather than
-    raised so the parent decides retryability; only a hard kill (or an
-    injected ``kill@block`` fault) leaves the pipe silent, which the
-    parent detects via the process sentinel.
-    """
-    # A worker respawned while the supervisor's drain handlers are active
-    # inherits them under fork; reset so terminate() actually terminates
-    # (SIGTERM) and a terminal Ctrl+C (delivered to the whole foreground
-    # group) lets the parent drain while this worker finishes (SIGINT).
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (OSError, ValueError):
-        pass
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            if msg is None:
-                break
-            task_id, execution, item = msg
-            try:
-                if fault_plan is not None:
-                    fault_plan.fire_block(task_id, execution)
-                payload = worker_fn(item)
-                if fault_plan is not None and fault_plan.should_corrupt_block(
-                    task_id, execution
-                ):
-                    payload = fault_plan.corrupt_block_payload(payload)
-                conn.send(("ok", task_id, execution, payload))
-            except BaseException as exc:  # noqa: BLE001 -- ship everything home
-                try:
-                    conn.send(
-                        (
-                            "error",
-                            task_id,
-                            execution,
-                            {
-                                "type": type(exc).__name__,
-                                "message": str(exc),
-                                "permanent": isinstance(exc, ReproError),
-                            },
-                        )
-                    )
-                except (OSError, ValueError):
-                    break
-    finally:
-        conn.close()
-
-
-class _Worker:
-    """One supervised worker process and its duplex command pipe."""
-
-    __slots__ = ("proc", "conn", "task_id", "execution", "started", "deadline")
-
-    def __init__(self, ctx, worker_fn, fault_plan, number: int):
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_block_worker_main,
-            args=(child_conn, worker_fn, fault_plan),
-            name=f"repro-shard-worker-{number}",
-            daemon=True,
-        )
-        self.proc.start()
-        child_conn.close()  # parent holds only its own end
-        self.conn = parent_conn
-        self.task_id: int | None = None
-        self.execution = 0
-        self.started = 0.0
-        self.deadline: float | None = None
-
-    @property
-    def busy(self) -> bool:
-        return self.task_id is not None
-
-    def dispatch(self, task_id: int, execution: int, item, timeout) -> None:
-        self.task_id = task_id
-        self.execution = execution
-        self.started = time.monotonic()
-        self.deadline = None if timeout is None else self.started + timeout
-        self.conn.send((task_id, execution, item))
-
-    def release(self) -> None:
-        self.task_id = None
-        self.deadline = None
-
-    def stop(self) -> None:
-        """Ask the worker to exit cleanly (idle workers only)."""
-        try:
-            self.conn.send(None)
-        except (OSError, ValueError):
-            pass
-        self.proc.join(2)
-        if self.proc.is_alive():
-            self.kill()
-        self.conn.close()
-
-    def kill(self) -> None:
-        """Terminate-then-kill; never waits on a wedged worker forever."""
-        self.proc.terminate()
-        self.proc.join(2)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join(2)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
-# -- task state -------------------------------------------------------------
-
-_PENDING, _RUNNING, _DONE, _QUARANTINED = "pending", "running", "done", "quarantined"
-
-
-@dataclass(slots=True)
-class _Task:
-    """Supervision state of one ``(spec, block)`` work item."""
-
-    task_id: int
-    spec_index: int
-    block_index: int
-    item: object
-    key: str | None  # checkpoint key (None when checkpointing is off)
-    status: str = _PENDING
-    attempts: int = 0  # executions dispatched (incl. speculative)
-    failures: int = 0
-    running: int = 0  # live executions right now
-    not_before: float = 0.0
-    payload: object = None
-    speculated: bool = False
-    last_failure: tuple[str, str] | None = None  # (kind, message)
-
-
 class BlockSupervisor:
     """Drive a list of block tasks to completion under supervision.
 
-    One-shot: construct, :meth:`run`, discard.  The pooled path spawns its
-    own worker processes (it does not reuse a ``multiprocessing.Pool`` --
-    per-task kill/respawn needs process identity, which ``Pool`` hides);
-    ``jobs=1`` runs blocks inline with the same retry/quarantine/
+    One-shot: construct, :meth:`run`, discard.  ``jobs > 1`` runs blocks on
+    a :class:`~repro.experiments.parallel.WorkerPool` of persistent worker
+    processes; ``jobs=1`` runs them inline with the same retry/quarantine/
     checkpoint semantics (timeouts, kills and speculation need real
     workers and are unavailable inline).
     """
@@ -509,116 +337,11 @@ class BlockSupervisor:
         self.report = ShardReport()
         self._drain = False
         self._abort = False
-        self._checkpointing = checkpoint is not None
-        self._workers: list[_Worker] = []
-        self._worker_seq = 0
-        self._ctx = None
-        self._queue: deque | None = None
         self._done_elapsed: list[float] = []
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _tel(self):
-        return get_telemetry()
-
-    def _restore(self, task: _Task) -> bool:
-        """Restore a completed block from its checkpoint, if valid."""
-        if self.checkpoint is None or task.key is None:
-            return False
-        results = self.checkpoint.load(task.key)
-        if results is None:
-            return False
-        task.status = _DONE
-        task.payload = (results, None)  # checkpointed telemetry is not replayed
-        self.report.restored += 1
-        self._tel().counter("shard_blocks_restored_total").inc()
-        return True
-
-    def _save(self, task: _Task, results) -> None:
-        """Checkpoint one completed block (disabling on unserializable data)."""
-        if not self._checkpointing or self.checkpoint is None or task.key is None:
-            return
-        try:
-            self.checkpoint.save(task.key, results)
-        except ConfigurationError as exc:
-            self._checkpointing = False
-            _log.warning(
-                "disabling block checkpoints for this sweep: %s", exc
-            )
-
-    def _complete(self, task: _Task, payload, speculative_win: bool) -> None:
-        task.status = _DONE
-        task.payload = payload
-        self.report.completed += 1
-        if speculative_win:
-            self.report.speculative_wins += 1
-            self._tel().counter("shard_speculative_wins_total").inc()
-        results, tel_json = _split_payload(payload)
-        if results is not None:
-            self._save(task, results)
-        if tel_json:
-            live = self._tel()
-            if live.enabled:
-                live.merge(_telemetry.Telemetry.from_jsonable(tel_json))
-
-    def _verify_duplicate(self, task: _Task, payload) -> None:
-        """Check a second (speculative) result against the accepted one."""
-        a, _ = _split_payload(task.payload)
-        b, _ = _split_payload(payload)
-        try:
-            identical = a == b
-        except Exception:  # exotic result types: treat as mismatch
-            identical = False
-        if not identical:
-            self.report.speculative_mismatches += 1
-            self._tel().counter("shard_speculative_mismatch_total").inc()
-            _log.warning(
-                "speculative duplicate of block (spec %d, block %d) produced "
-                "a different result; kept the first-arriving one (block "
-                "execution is expected to be deterministic -- investigate)",
-                task.spec_index,
-                task.block_index,
-            )
-
-    def _failed(self, task: _Task, kind: str, message: str, permanent: bool,
-                now: float, redispatch: bool = False) -> None:
-        """Account one failed execution; schedule a retry or quarantine."""
-        if task.status == _DONE:
-            return  # a speculative copy failed after the block completed
-        task.failures += 1
-        task.last_failure = (kind, message)
-        if redispatch:
-            self.report.redispatches += 1
-            self._tel().counter("shard_redispatch_total").inc()
-        if task.running > 0:
-            return  # another execution of this block is still in flight
-        no_retry = (
-            permanent
-            or (kind == "timeout" and not self.config.retry.retry_timeouts)
-            or task.attempts >= self.config.retry.max_attempts
-        )
-        if no_retry:
-            task.status = _QUARANTINED
-            self.report.quarantined.append(
-                BlockFailure(
-                    spec_index=task.spec_index,
-                    block_index=task.block_index,
-                    kind=kind,
-                    message=message,
-                    attempts=task.attempts,
-                )
-            )
-            self._tel().counter("shard_quarantined_total", kind=kind).inc()
-            return
-        task.status = _PENDING
-        delay = 0.0 if redispatch else self.config.retry.delay(
-            f"{task.spec_index}/{task.block_index}", task.failures
-        )
-        task.not_before = now + delay
-        self.report.retries += 1
-        self._tel().counter("shard_retries_total", kind=kind).inc()
-        if self._queue is not None and task not in self._queue:
-            self._queue.append(task)
+        self._speculated: set[int] = set()  # task ordinals duplicated
+        self._units: list[tuple[int, int, object]] = []
+        self._keys: list[str | None] = []  # checkpoint keys
+        self._payloads: list = []
 
     # -- public entry ------------------------------------------------------
 
@@ -631,42 +354,20 @@ class BlockSupervisor:
         quarantined and ``keep_going`` is off, and ``KeyboardInterrupt``
         after a signal-requested drain.
         """
-        tasks = []
-        for task_id, (spec_index, block_index, item) in enumerate(items):
-            key = None
-            if self.checkpoint is not None:
-                spec = item[0] if isinstance(item, tuple) and item else item
-                key = self.checkpoint.block_key(spec, block_size, block_index)
-            tasks.append(
-                _Task(
-                    task_id=task_id,
-                    spec_index=spec_index,
-                    block_index=block_index,
-                    item=item,
-                    key=key,
-                )
-            )
-        self.report.blocks = len(tasks)
-        for task in tasks:
-            self._restore(task)
-
-        pending = [t for t in tasks if t.status == _PENDING]
+        self._units = list(items)
+        self._keys = [self._key(unit, block_size) for unit in self._units]
+        self._payloads = [None] * len(self._units)
+        self.report.blocks = len(self._units)
+        pending = [i for i in range(len(self._units)) if not self._restore(i)]
         if pending:
-            if self.config.jobs == 1:
-                self._run_inline(pending)
-            else:
-                self._run_pooled(tasks, pending)
+            self._supervise(pending)
 
         if self.report.interrupted:
             done = self.report.completed + self.report.restored
             raise KeyboardInterrupt(
                 f"sharded sweep interrupted: {done}/{self.report.blocks} "
                 "blocks finished"
-                + (
-                    " and checkpointed"
-                    if self._checkpointing and self.checkpoint is not None
-                    else ""
-                )
+                + (" and checkpointed" if self.checkpoint is not None else "")
             )
         if self.report.quarantined and not self.config.keep_going:
             worst = self.report.quarantined[0]
@@ -677,271 +378,175 @@ class BlockSupervisor:
                 "pass keep_going=True to collect partial results",
                 report=self.report,
             )
-        return [t.payload for t in tasks], self.report
+        return self._payloads, self.report
 
-    # -- inline (jobs=1) path ----------------------------------------------
+    # -- checkpoints ---------------------------------------------------------
 
-    def _run_inline(self, pending: list[_Task]) -> None:
-        """Sequential execution with the same retry/quarantine semantics.
+    def _key(self, unit, block_size: int) -> str | None:
+        _spec_index, block_index, item = unit
+        if self.checkpoint is None:
+            return None
+        spec = item[0] if isinstance(item, tuple) and item else item
+        return self.checkpoint.block_key(spec, block_size, block_index)
 
-        Each execution runs under a private telemetry sink (merged into
-        the surrounding live sink only on success), so retried failures
-        never double-count and the merge discipline matches the pooled
-        path exactly.
-        """
-        plan = self.config.fault_plan
-        for task in pending:
-            while task.status == _PENDING:
-                task.attempts += 1
-                execution = task.attempts
-                previous = _telemetry.install(_telemetry.NULL_TELEMETRY)
-                try:
-                    if plan is not None:
-                        plan.fire_block(task.task_id, execution, in_process=True)
-                    payload = self.worker_fn(task.item)
-                    if plan is not None and plan.should_corrupt_block(
-                        task.task_id, execution
-                    ):
-                        payload = plan.corrupt_block_payload(payload)
-                except KeyboardInterrupt:
-                    self.report.interrupted = True
-                    _telemetry.install(previous)
-                    return
-                except Exception as exc:  # noqa: BLE001 -- mirrors the worker
-                    _telemetry.install(previous)
-                    self._failed(
-                        task,
-                        "error",
-                        f"{type(exc).__name__}: {exc}",
-                        isinstance(exc, ReproError),
-                        time.monotonic(),
-                    )
-                    if task.status == _PENDING:
-                        time.sleep(max(0.0, task.not_before - time.monotonic()))
-                else:
-                    _telemetry.install(previous)
-                    self._complete(task, payload, speculative_win=False)
-
-    # -- pooled path --------------------------------------------------------
-
-    def _spawn_worker(self, ctx) -> _Worker:
-        self._worker_seq += 1
-        return _Worker(
-            ctx, self.worker_fn, self.config.fault_plan, self._worker_seq
-        )
-
-    def _run_pooled(self, tasks: list[_Task], pending: list[_Task]) -> None:
-        from repro.experiments.parallel import _check_picklable_fn, subprocess_context
-
-        _check_picklable_fn(self.worker_fn)
-        self._ctx = subprocess_context(self.config.threadsafe)
-        queue = deque(sorted(pending, key=lambda t: t.task_id))
-        self._queue = queue
-        jobs = min(self.config.jobs, len(queue))
-        self._workers = [self._spawn_worker(self._ctx) for _ in range(jobs)]
-        handlers = self._install_signal_handlers()
-        try:
-            self._supervise_loop(tasks, queue)
-        finally:
-            self._restore_signal_handlers(handlers)
-            for worker in self._workers:
-                if worker.busy or self._abort:
-                    worker.kill()
-                else:
-                    worker.stop()
-            self._workers = []
-
-    def _supervise_loop(self, tasks: list[_Task], queue: deque) -> None:
-        while True:
-            now = time.monotonic()
-            if self._abort:
-                self.report.interrupted = True
-                return
-            unfinished = [t for t in tasks if t.status in (_PENDING, _RUNNING)]
-            if not unfinished:
-                return
-            if self._drain and not any(t.status == _RUNNING for t in tasks):
-                self.report.interrupted = True
-                return
-            self._dispatch_ready(tasks, queue, now)
-            timeout = self._wait_timeout(queue, now)
-            busy = [w for w in self._workers if w.busy]
-            channels = [w.conn for w in busy] + [w.proc.sentinel for w in busy]
-            if not channels:
-                if self._drain:
-                    self.report.interrupted = True
-                    return
-                # Nothing in flight: every remaining task is backing off.
-                time.sleep(max(0.0, min(timeout, _WAIT_CAP_S)))
-                continue
-            ready = connection_wait(channels, timeout)
-            now = time.monotonic()
-            for worker in list(busy):
-                if worker.conn in ready:
-                    self._handle_message(tasks, worker, now)
-                elif worker.proc.sentinel in ready:
-                    self._handle_death(tasks, worker, now)
-            self._handle_deadlines(tasks, now)
-
-    def _dispatch_ready(self, tasks: list[_Task], queue: deque, now: float) -> None:
-        if self._drain:
-            return
-        for worker in [w for w in self._workers if not w.busy]:
-            task = self._next_ready(queue, now)
-            if task is None:
-                break
-            self._dispatch_to(worker, task)
-        # Any still-idle workers may speculate on stragglers.
-        if not self.config.speculate:
-            return
-        if any(t.status == _PENDING for t in tasks):
-            return  # real work still queued or backing off: no duplicates
-        for worker in [w for w in self._workers if not w.busy]:
-            task = self._straggler_candidate(tasks, now)
-            if task is None:
-                return
-            task.speculated = True
-            self.report.speculative_launches += 1
-            self._dispatch_to(worker, task)
-
-    def _dispatch_to(self, worker: _Worker, task: _Task) -> bool:
-        """Send one execution to *worker*, replacing it if the pipe is dead."""
-        task.status = _RUNNING
-        task.attempts += 1
-        task.running += 1
-        try:
-            worker.dispatch(
-                task.task_id, task.attempts, task.item, self.config.block_timeout
-            )
-            return True
-        except (OSError, ValueError):
-            # The worker died while idle; undo the accounting, swap it out.
-            task.attempts -= 1
-            task.running -= 1
-            if task.running == 0:
-                task.status = _PENDING
-                if self._queue is not None and task not in self._queue:
-                    self._queue.append(task)
-            worker.kill()
-            self._workers.remove(worker)
-            self._workers.append(self._spawn_worker(self._ctx))
+    def _restore(self, i: int) -> bool:
+        """Restore a completed block from its checkpoint, if valid."""
+        if self._keys[i] is None:
             return False
+        results = self.checkpoint.load(self._keys[i])
+        if results is None:
+            return False
+        self._payloads[i] = (results, None)  # checkpointed telemetry is not replayed
+        self.report.restored += 1
+        get_telemetry().counter("shard_blocks_restored_total").inc()
+        return True
 
-    def _next_ready(self, queue: deque, now: float):
-        """Pop the first pending task whose backoff has elapsed (FIFO)."""
-        for _ in range(len(queue)):
-            task = queue.popleft()
-            if task.status != _PENDING:
-                continue  # completed by a speculative duplicate meanwhile
-            if task.not_before <= now:
-                return task
-            queue.append(task)  # still backing off; rotate
-        return None
-
-    def _straggler_candidate(self, tasks: list[_Task], now: float):
-        """The longest-running non-duplicated block, if it qualifies."""
-        done_elapsed = self._done_elapsed
-        if len(done_elapsed) < self.config.straggler_min_done:
-            return None
-        sorted_elapsed = sorted(done_elapsed)
-        median = sorted_elapsed[len(sorted_elapsed) // 2]
-        threshold = max(self.config.straggler_factor * median, 0.05)
-        candidates = [
-            (now - w.started, w.task_id)
-            for w in self._workers
-            if w.busy and tasks[w.task_id].status == _RUNNING
-            and not tasks[w.task_id].speculated
-            and tasks[w.task_id].running == 1
-            and now - w.started > threshold
-        ]
-        if not candidates:
-            return None
-        candidates.sort(reverse=True)
-        return tasks[candidates[0][1]]
-
-    def _wait_timeout(self, queue: deque, now: float) -> float | None:
-        bounds = [_WAIT_CAP_S]
-        for worker in self._workers:
-            if worker.busy and worker.deadline is not None:
-                bounds.append(max(0.0, worker.deadline - now))
-        for task in queue:
-            if task.status == _PENDING and task.not_before > now:
-                bounds.append(task.not_before - now)
-        return min(bounds)
-
-    def _record_done_elapsed(self, elapsed: float) -> None:
-        self._done_elapsed.append(elapsed)
-
-    def _handle_message(self, tasks: list[_Task], worker: _Worker, now: float) -> None:
-        try:
-            msg = worker.conn.recv()
-        except (EOFError, OSError):
-            self._handle_death(tasks, worker, now)
+    def _save(self, i: int, results) -> None:
+        """Checkpoint one completed block (disabling on unserializable data)."""
+        if self.checkpoint is None:
             return
-        status, task_id, execution, payload = msg
-        task = tasks[task_id]
-        task.running -= 1
-        elapsed = now - worker.started
-        worker.release()
-        if status == "ok":
-            if task.status == _DONE:
-                self._verify_duplicate(task, payload)
+        try:
+            self.checkpoint.save(self._keys[i], results)
+        except ConfigurationError as exc:
+            self.checkpoint = None
+            _log.warning(
+                "disabling block checkpoints for this sweep: %s", exc
+            )
+
+    # -- supervision -------------------------------------------------------
+
+    def _supervise(self, pending: list[int]) -> None:
+        config = self.config
+        inline = config.jobs == 1
+        with WorkerPool(
+            self.worker_fn,
+            min(config.jobs, len(pending)),
+            retry=config.retry,
+            timeout=config.block_timeout,
+            fault_plan=config.fault_plan,
+            in_process=inline,
+        ) as pool:
+            for i in pending:
+                spec_index, block_index, item = self._units[i]
+                pool.submit(
+                    i, (item,),
+                    label=f"block (spec {spec_index}, block {block_index})",
+                    fault_id=f"block{i}",
+                )
+            handlers = None if inline else self._install_signal_handlers()
+            try:
+                while pool.unfinished():
+                    if self._abort or (self._drain and not pool.busy()):
+                        self.report.interrupted = True
+                        return
+                    for event in pool.poll(_WAIT_CAP_S, dispatch=not self._drain):
+                        self._on_event(event)
+                    if config.speculate and not self._drain:
+                        self._speculate(pool)
+            except KeyboardInterrupt:  # inline blocks run without handlers
+                self.report.interrupted = True
+            finally:
+                self._restore_signal_handlers(handlers)
+
+    def _on_event(self, event: PoolEvent) -> None:
+        i = event.task.key
+        payload = event.result
+        plan = self.config.fault_plan
+        if (event.kind in ("ok", "duplicate") and plan is not None
+                and plan.should_corrupt_block(i, event.execution)):
+            payload = plan.corrupt_block_payload(payload)
+        if event.kind == "duplicate":
+            self._verify_duplicate(i, payload)
+            return
+        if event.kind == "ok":
+            self._done_elapsed.append(event.elapsed)
+            self._complete(
+                i, payload,
+                speculative_win=i in self._speculated
+                and event.execution == event.task.executions,
+            )
+            return
+        tel = get_telemetry()
+        if event.kind == "crash":
+            self.report.redispatches += 1
+            tel.counter("shard_redispatch_total").inc()
+        if event.retry_delay is not None:
+            self.report.retries += 1
+            tel.counter("shard_retries_total", kind=event.kind).inc()
+        elif event.task.state == "failed":
+            spec_index, block_index, _item = self._units[i]
+            self.report.quarantined.append(
+                BlockFailure(
+                    spec_index=spec_index,
+                    block_index=block_index,
+                    kind=event.kind,
+                    message=event.message,
+                    attempts=event.task.executions,
+                )
+            )
+            tel.counter("shard_quarantined_total", kind=event.kind).inc()
+
+    def _complete(self, i: int, payload, speculative_win: bool) -> None:
+        self._payloads[i] = payload
+        self.report.completed += 1
+        if speculative_win:
+            self.report.speculative_wins += 1
+            get_telemetry().counter("shard_speculative_wins_total").inc()
+        results, tel_json = _split_payload(payload)
+        if results is not None:
+            self._save(i, results)
+        if tel_json:
+            live = get_telemetry()
+            if live.enabled:
+                live.merge(_telemetry.Telemetry.from_jsonable(tel_json))
+
+    def _verify_duplicate(self, i: int, payload) -> None:
+        """Check a second (speculative) result against the accepted one."""
+        a, _ = _split_payload(self._payloads[i])
+        b, _ = _split_payload(payload)
+        try:
+            identical = a == b
+        except Exception:  # exotic result types: treat as mismatch
+            identical = False
+        if not identical:
+            spec_index, block_index, _item = self._units[i]
+            self.report.speculative_mismatches += 1
+            get_telemetry().counter("shard_speculative_mismatch_total").inc()
+            _log.warning(
+                "speculative duplicate of block (spec %d, block %d) produced "
+                "a different result; kept the first-arriving one (block "
+                "execution is expected to be deterministic -- investigate)",
+                spec_index,
+                block_index,
+            )
+
+    def _speculate(self, pool: WorkerPool) -> None:
+        """Duplicate stragglers onto idle workers once nothing is queued.
+
+        A straggler is the longest-running block not yet duplicated whose
+        run exceeds ``straggler_factor`` x the median completed block (and
+        50 ms), once ``straggler_min_done`` blocks have completed.
+        """
+        if (len(self._done_elapsed) < self.config.straggler_min_done
+                or pool.has_pending() or not pool.idle()):
+            return
+        done = sorted(self._done_elapsed)
+        threshold = max(self.config.straggler_factor * done[len(done) // 2], 0.05)
+        while pool.idle():
+            now = time.monotonic()
+            candidates = [
+                (now - started, task)
+                for task, started in pool.busy()
+                if task.state == "running" and task.running == 1
+                and task.key not in self._speculated
+                and now - started > threshold
+            ]
+            if not candidates:
                 return
-            self._record_done_elapsed(elapsed)
-            win = task.speculated and execution == task.attempts
-            self._complete(task, payload, speculative_win=win)
-        else:
-            self._failed(
-                task,
-                "error",
-                f"{payload['type']}: {payload['message']}",
-                payload["permanent"],
-                now,
-            )
-
-    def _handle_death(self, tasks: list[_Task], worker: _Worker, now: float) -> None:
-        """A worker died without reporting: respawn it, re-dispatch the block."""
-        task = tasks[worker.task_id]
-        task.running -= 1
-        worker.kill()
-        exitcode = worker.proc.exitcode
-        self._workers.remove(worker)
-        self._workers.append(self._spawn_worker(self._ctx))
-        self._failed(
-            task,
-            "crash",
-            (
-                f"worker died without a result while running block "
-                f"(spec {task.spec_index}, block {task.block_index}); "
-                f"exit code {exitcode}"
-            ),
-            False,
-            now,
-            redispatch=True,
-        )
-
-    def _handle_deadlines(self, tasks: list[_Task], now: float) -> None:
-        for worker in list(self._workers):
-            if not worker.busy or worker.deadline is None or now < worker.deadline:
-                continue
-            task = tasks[worker.task_id]
-            task.running -= 1
-            worker.kill()
-            self._workers.remove(worker)
-            self._workers.append(self._spawn_worker(self._ctx))
-            if task.status == _DONE:
-                continue  # a duplicate already won; the kill just freed a slot
-            self._failed(
-                task,
-                "timeout",
-                (
-                    f"block (spec {task.spec_index}, block {task.block_index}) "
-                    f"exceeded {self.config.block_timeout:.1f}s and its worker "
-                    "was killed"
-                ),
-                False,
-                now,
-            )
+            _elapsed, task = max(candidates, key=lambda c: c[0])
+            self._speculated.add(task.key)
+            self.report.speculative_launches += 1
+            pool.launch(task)
 
     # -- signal handling ----------------------------------------------------
 

@@ -15,11 +15,10 @@ declarative, replayable pipeline (see ``docs/service.md``):
   the store (state transitions, attempts, digests, a FAILURES view),
   reconciled against directory truth on startup;
 * :mod:`repro.service.jobs` -- a restart-surviving job queue with bounded
-  concurrency and backpressure scheduling scenario runs onto a
-  supervised worker-process fleet (heartbeats, per-run deadlines,
-  crash requeue, bounded seeded retry, quarantine, degraded mode);
-* :mod:`repro.service.supervisor` -- the fleet itself (the PR 7
-  terminate-then-kill supervision idiom applied to whole runs);
+  concurrency and backpressure scheduling scenario runs onto the
+  supervised worker pool of :mod:`repro.experiments.parallel`
+  (heartbeats, per-run deadlines, crash requeue, bounded seeded retry,
+  quarantine), plus degraded mode;
 * :mod:`repro.service.chaos` -- deterministic service-level fault
   injection (``worker:kill/hang``, ``store:tamper``, ``disk:full``);
 * :mod:`repro.service.api` -- the local HTTP surface
@@ -46,7 +45,6 @@ from repro.service.jobs import (
 )
 from repro.service.ledger import RunLedger
 from repro.service.store import ReplayReport, RunRecord, RunStore
-from repro.service.supervisor import FleetEvent, WorkerFleet
 
 __all__ = [
     "JobService",
@@ -62,6 +60,4 @@ __all__ = [
     "RunRecord",
     "ReplayReport",
     "RunLedger",
-    "WorkerFleet",
-    "FleetEvent",
 ]

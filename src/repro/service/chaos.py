@@ -1,22 +1,24 @@
-"""Service-level chaos: deterministic faults against the worker fleet.
+"""Service-level chaos: deterministic faults against the job service.
 
 The experiment layer (PR 2) and the shard layer (PR 7) each got a chaos
 harness; this is the third ring, attacking the *service substrate*
 itself -- the worker processes, the stored artifacts, and the disk --
 exactly the churn model the robust-leader-election literature assumes.
 
-A :class:`ServiceFaultPlan` wraps the shared :class:`FaultPlan` spec
-syntax with service pseudo-ids (``worker:kill@SEQ``, ``worker:hang@SEQ``,
-``store:tamper@SEQ``, ``disk:full@SEQ``) where ``@SEQ`` counts dispatches
-across the whole fleet, starting at 1.  Plans travel to worker processes
-as their compact spec string (plain picklable data), so a chaos schedule
-replays bit-for-bit regardless of which worker draws which job.
+``serve --inject-faults`` takes the shared :class:`FaultPlan` spec syntax
+restricted to service pseudo-ids (``worker:kill@SEQ``, ``worker:hang@SEQ``,
+``store:tamper@SEQ``, ``disk:full@SEQ``), where ``@SEQ`` counts dispatches
+across the whole worker pool, starting at 1, so a chaos schedule replays
+bit-for-bit regardless of which worker draws which job.  ``worker`` atoms
+fire in the pool worker like every kill/hang atom
+(:meth:`FaultPlan.fire`); :class:`ServiceFaultPlan` validates the spec and
+fires the other two inside the run executor.
 
 What each atom proves:
 
-* ``worker:kill`` -- the supervisor notices the sentinel, requeues the
-  run, respawns the worker; the retry must complete and the recovered
-  table must be byte-identical (shard checkpoints make this resumable).
+* ``worker:kill`` -- the pool notices the sentinel, requeues the run,
+  respawns the worker; the retry must complete and the recovered table
+  must be byte-identical (shard checkpoints make this resumable).
 * ``worker:hang`` -- heartbeats keep flowing (the beat thread survives a
   hung main thread), so this specifically exercises the per-run
   wall-clock deadline's terminate-then-kill path.
@@ -32,22 +34,17 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
-import time
 from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.experiments.checkpoint import failing_writes
-from repro.experiments.faults import SERVICE_FAULT_KINDS, Fault, FaultPlan
+from repro.experiments.faults import SERVICE_FAULT_KINDS, FaultPlan
 
 __all__ = ["ServiceFaultPlan", "tamper_stored_table"]
 
-#: How long a hang nap lasts; the loop never exits on its own, short naps
-#: just keep the worker promptly killable.
-_HANG_NAP_S = 0.05
-
 
 class ServiceFaultPlan:
-    """A fleet-wide, dispatch-sequenced schedule of service faults."""
+    """A :class:`FaultPlan` holding only service atoms."""
 
     def __init__(self, plan: FaultPlan):
         for fault in plan.faults:
@@ -64,35 +61,9 @@ class ServiceFaultPlan:
         """Parse ``"worker:kill@1,disk:full@3"`` into a validated plan."""
         return cls(FaultPlan.from_spec(spec, seed=seed))
 
-    def to_spec(self) -> str:
-        """Render back to the compact ``ID:KIND@SEQ,...`` spec string."""
-        return self.plan.to_spec()
-
-    def __bool__(self) -> bool:
-        return bool(self.plan.faults)
-
-    def _fault(self, target: str, seq: int) -> Fault | None:
-        return self.plan.service_fault_for(target, seq)
-
-    # -- worker-side hooks (called inside the worker process) ---------------
-
-    def fire_worker(self, seq: int) -> None:
-        """Trigger any pre-run worker fault for this dispatch."""
-        fault = self._fault("worker", seq)
-        if fault is None:
-            return
-        if fault.kind == "kill":
-            import os
-            import signal
-
-            os.kill(os.getpid(), signal.SIGKILL)
-        if fault.kind == "hang":
-            while True:  # hold the worker until the run deadline kills it
-                time.sleep(_HANG_NAP_S)
-
     def disk_pressure(self, seq: int):
         """Context manager: ENOSPC on every atomic write for this dispatch."""
-        if self._fault("disk", seq) is None:
+        if self.plan.fault_for("disk", seq) is None:
             return contextlib.nullcontext()
         return failing_writes(
             lambda: OSError(errno.ENOSPC, "No space left on device (injected)")
@@ -100,7 +71,7 @@ class ServiceFaultPlan:
 
     def should_tamper(self, seq: int) -> bool:
         """Whether to tamper with this dispatch's stored table afterwards."""
-        return self._fault("store", seq) is not None
+        return self.plan.fault_for("store", seq) is not None
 
 
 def tamper_stored_table(run_root: str | Path) -> bool:

@@ -20,9 +20,8 @@ with bounded seeded backoff, honoring the server's ``Retry-After``
 hint, before giving up.
 
 ``serve`` runs the long-lived job daemon: bounded queue, a supervised
-worker-process fleet (per-run deadlines, heartbeats, crash requeue,
-quarantine -- ``--worker-mode thread`` restores the PR 8 in-process
-path), a sqlite ledger reconciled on boot (crash recovery, even from
+worker-process pool (per-run deadlines, heartbeats, crash requeue,
+quarantine), a sqlite ledger reconciled on boot (crash recovery, even from
 SIGKILL), HTTP API, and a SIGTERM handler that drains the queue before
 exiting.  ``--inject-faults`` arms the service chaos layer
 (``worker:kill@SEQ``, ``worker:hang@SEQ``, ``store:tamper@SEQ``,
@@ -359,14 +358,9 @@ def serve_main(argv: list[str] | None = None) -> int:
         "--queue-limit", type=int, default=16, help="max pending runs (backpressure)"
     )
     parser.add_argument(
-        "--worker-mode", choices=("process", "thread"), default="process",
-        help="run executor substrate: supervised worker processes "
-        "(default) or the legacy in-process threads",
-    )
-    parser.add_argument(
         "--run-timeout", type=float, default=None,
-        help="per-run wall-clock deadline in seconds (process mode); a run "
-        "past it is killed, requeued with backoff, then quarantined",
+        help="per-run wall-clock deadline in seconds; a run past it is "
+        "killed, requeued with backoff, then quarantined",
     )
     parser.add_argument(
         "--degraded-after", type=int, default=3,
@@ -375,7 +369,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--inject-faults", default="",
         help="service chaos plan, e.g. 'worker:kill@1,disk:full@2' "
-        "(worker:kill/hang, store:tamper, disk:full; @N is the fleet-wide "
+        "(worker:kill/hang, store:tamper, disk:full; @N is the pool-wide "
         "dispatch sequence)",
     )
     parser.add_argument(
@@ -388,20 +382,16 @@ def serve_main(argv: list[str] | None = None) -> int:
 
     from repro import telemetry
     from repro.service.api import make_server
-    from repro.service.chaos import ServiceFaultPlan
     from repro.service.jobs import JobService
     from repro.service.store import RunStore
 
     if args.telemetry:
         telemetry.configure()
-    if args.inject_faults:
-        ServiceFaultPlan.from_spec(args.inject_faults)  # fail fast on typos
-    service = JobService(
+    service = JobService(  # validates --inject-faults before anything starts
         RunStore(args.store),
         jobs_per_run=args.jobs,
         queue_limit=args.queue_limit,
         workers=args.workers,
-        worker_mode=args.worker_mode,
         run_timeout=args.run_timeout,
         degraded_after=args.degraded_after,
         fault_spec=args.inject_faults,

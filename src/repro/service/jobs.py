@@ -3,13 +3,15 @@
 :class:`JobService` owns a :class:`~repro.service.store.RunStore` and a
 bounded pending set of run ids.  Submissions register the scenario in
 the store (idempotent by content digest) and enqueue it; a dispatcher
-thread hands runs to a supervised :class:`~repro.service.supervisor
-.WorkerFleet` of child *processes* (the default since PR 9 -- a hung or
-crashed run can no longer wedge the daemon), each executing through
-:meth:`RunStore.execute` -- i.e. the supervised sharded scheduler with
-block checkpoints, so a run killed mid-flight resumes where it left off.
+thread hands runs to a :class:`~repro.experiments.parallel.WorkerPool` of
+persistent child *processes* (a hung or crashed run can never wedge the
+daemon), each executing through :meth:`RunStore.execute` -- i.e. the
+supervised sharded scheduler with block checkpoints, so a run killed
+mid-flight resumes where it left off.  A submission wakes the dispatcher
+at once (the pool's wake-up pipe), so a run submitted to an idle service
+starts without waiting out a poll interval.
 
-Robustness semantics (the PR 7 supervision idiom, one level up):
+Robustness semantics (the pool's, one level above the shards):
 
 * **worker death** (SIGKILL, OOM, crash): detected via the process
   sentinel; the worker is respawned and the orphaned run requeued
@@ -43,10 +45,6 @@ Durability and backpressure:
   workers; their runs stay ``running`` in the store for the next
   rescan).
 
-``worker_mode="thread"`` preserves the PR 8 in-process worker threads
-(no process isolation, no deadlines -- but zero spawn overhead), which
-doubles as the overhead baseline for the supervised path.
-
 Telemetry: ``service_queue_depth`` / ``service_degraded`` gauges,
 ``service_submissions_total{outcome=}`` / ``service_jobs_total{state=}``
 / ``service_worker_deaths_total{cause=}`` / ``service_run_retries_total``
@@ -56,18 +54,17 @@ Telemetry: ``service_queue_depth`` / ``service_degraded`` gauges,
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.errors import ConfigurationError, ReproError
+from repro.experiments.parallel import PoolEvent, WorkerPool
 from repro.experiments.retry import RetryPolicy
+from repro.service.chaos import ServiceFaultPlan, tamper_stored_table
 from repro.service.scenario import Scenario
 from repro.service.store import RunStore
-from repro.service.supervisor import DEFAULT_HEARTBEAT_INTERVAL_S, WorkerFleet
 
 __all__ = [
     "BackpressureError",
@@ -75,6 +72,7 @@ __all__ = [
     "JobService",
     "DEFAULT_QUEUE_LIMIT",
     "DEFAULT_DEGRADED_AFTER",
+    "DEFAULT_HEARTBEAT_INTERVAL_S",
 ]
 
 DEFAULT_QUEUE_LIMIT = 64
@@ -83,10 +81,15 @@ DEFAULT_QUEUE_LIMIT = 64
 #: stalls) before the service stops accepting submissions.
 DEFAULT_DEGRADED_AFTER = 3
 
-_STOP = None  # thread-mode queue sentinel
+#: How often a busy worker's beat thread pings the dispatcher.
+DEFAULT_HEARTBEAT_INTERVAL_S = 1.0
 
-#: How long one dispatcher supervision wait lasts.
+#: How long one dispatcher supervision wait lasts (submissions and stop
+#: requests wake it early).
 _POLL_S = 0.2
+
+#: Journal/metric name of each pool failure kind that kills a worker.
+_LOST = {"crash": "died", "timeout": "timeout", "stalled": "stalled"}
 
 
 def _default_retry() -> RetryPolicy:
@@ -107,15 +110,21 @@ class ServiceDegradedError(ReproError):
     worker deaths (reads still work); mapped to HTTP 503."""
 
 
-@dataclass
-class _JobState:
-    """Dispatcher-side bookkeeping for one pending or in-flight run."""
-
-    run_id: str
-    enqueued_at: float
-    attempts: int = 0
-    not_before: float = 0.0
-    in_flight: bool = field(default=False)
+def _execute_run(store_root: str, run_id: str, jobs: int,
+                 faults: ServiceFaultPlan, seq: int) -> str:
+    """Pool task body (in a worker process): execute one run; returns its
+    final state.  *seq* is the pool's dispatch sequence number, which the
+    ``disk:full`` and ``store:tamper`` atoms key on."""
+    store = RunStore(store_root)
+    try:
+        record = store.get(run_id)
+        with faults.disk_pressure(seq):
+            state = store.execute(record, jobs=jobs)
+        if state == "done" and faults.should_tamper(seq):
+            tamper_stored_table(record.root)
+        return state
+    finally:
+        store.ledger.close()
 
 
 class JobService:
@@ -127,7 +136,6 @@ class JobService:
         jobs_per_run: int = 1,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         workers: int = 1,
-        worker_mode: str = "process",
         run_timeout: float | None = None,
         retry: RetryPolicy | None = None,
         degraded_after: int = DEFAULT_DEGRADED_AFTER,
@@ -144,15 +152,6 @@ class JobService:
             raise ConfigurationError(
                 f"jobs_per_run must be >= 1, got {jobs_per_run}"
             )
-        if worker_mode not in ("process", "thread"):
-            raise ConfigurationError(
-                f"worker_mode must be 'process' or 'thread', got {worker_mode!r}"
-            )
-        if worker_mode == "thread" and fault_spec:
-            raise ConfigurationError(
-                "--inject-faults needs worker processes; thread-mode workers "
-                "cannot survive a worker:kill (use --worker-mode process)"
-            )
         if degraded_after < 1:
             raise ConfigurationError(
                 f"degraded_after must be >= 1, got {degraded_after}"
@@ -160,14 +159,17 @@ class JobService:
         self.store = store
         self.jobs_per_run = jobs_per_run
         self.queue_limit = queue_limit
-        self.worker_mode = worker_mode
+        self.num_workers = workers
         self.run_timeout = run_timeout
         self.retry = retry if retry is not None else _default_retry()
         self.degraded_after = degraded_after
-        self.fault_spec = fault_spec
         self.heartbeat_interval = heartbeat_interval
+        self._faults = ServiceFaultPlan.from_spec(fault_spec)
         self._lock = threading.Lock()
-        self._enqueued: set[str] = set()  # ids pending or in flight
+        # run id -> enqueue time, for every run pending or in flight
+        self._enqueued: dict[str, float] = {}
+        self._inbox: deque[str] = deque()  # enqueued, not yet in the pool
+        self._in_flight: set[str] = set()
         self._cancel_requested: set[str] = set()
         self._stopping = threading.Event()
         self._drain = True
@@ -175,24 +177,8 @@ class JobService:
         self._started = False
         self._degraded = False
         self._failure_streak = 0
-        # process mode
-        self._pending: deque[_JobState] = deque()
-        self._in_flight: dict[str, _JobState] = {}
-        self._fleet: WorkerFleet | None = None
+        self._fleet: WorkerPool | None = None
         self._dispatcher: threading.Thread | None = None
-        self.num_workers = workers
-        # thread mode
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_limit)
-        self._threads = (
-            [
-                threading.Thread(
-                    target=self._worker, name=f"repro-job-{i}", daemon=True
-                )
-                for i in range(workers)
-            ]
-            if worker_mode == "thread"
-            else []
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -211,19 +197,15 @@ class JobService:
         except Exception:  # ledger is an index; never block startup on it
             pass
         self.rescan()
-        if self.worker_mode == "thread":
-            for worker in self._threads:
-                worker.start()
-            return
-        self._fleet = WorkerFleet(
-            self.store.root,
+        self._fleet = WorkerPool(
+            _execute_run,
             self.num_workers,
-            jobs_per_run=self.jobs_per_run,
-            run_timeout=self.run_timeout,
-            heartbeat_interval=self.heartbeat_interval,
-            fault_spec=self.fault_spec,
+            retry=self.retry,
+            timeout=self.run_timeout,
+            fault_plan=self._faults.plan,
+            heartbeat=self.heartbeat_interval,
+            before_dispatch=self._before_dispatch,
         )
-        self._fleet.start()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-dispatch", daemon=True
         )
@@ -241,18 +223,10 @@ class JobService:
         self._stopping.set()
         if not drain:
             self._cancel_all.set()
-        if self.worker_mode == "thread":
-            for _ in self._threads:
-                self._queue.put(_STOP)
-            for worker in self._threads:
-                if worker.is_alive():
-                    worker.join(timeout=timeout)
-            return
+        if self._fleet is not None:
+            self._fleet.wake()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=timeout)
-        if self._fleet is not None:
-            self._fleet.shutdown(kill=not drain)
-            self._fleet = None
 
     def rescan(self) -> list[str]:
         """Re-enqueue runs the store says are ``queued`` or ``running``.
@@ -320,20 +294,14 @@ class JobService:
         with self._lock:
             if run_id in self._enqueued:
                 return "coalesced"  # already pending or in flight
-            if self.worker_mode == "thread":
-                try:
-                    self._queue.put_nowait((run_id, time.monotonic()))
-                except queue.Full:
-                    return ""
-            else:
-                if len(self._enqueued) >= self.queue_limit:
-                    return ""
-                self._pending.append(
-                    _JobState(run_id=run_id, enqueued_at=time.monotonic())
-                )
-            self._enqueued.add(run_id)
+            if len(self._enqueued) >= self.queue_limit:
+                return ""
+            self._enqueued[run_id] = time.monotonic()
+            self._inbox.append(run_id)
             self._gauge_depth()
-            return "added"
+        if self._fleet is not None:
+            self._fleet.wake()
+        return "added"
 
     # -- cancellation ------------------------------------------------------
 
@@ -355,141 +323,113 @@ class JobService:
         with self._lock:
             return run_id in self._cancel_requested
 
-    # -- process-mode dispatcher -------------------------------------------
+    # -- dispatcher ----------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        """Own the fleet: dispatch ready runs, supervise, retry, quarantine."""
-        fleet = self._fleet
-        while True:
-            if self._stopping.is_set() and not self._drain:
-                return  # stop() kills the fleet; runs resume on next start
-            self._dispatch_ready(fleet)
-            if self._stopping.is_set() and self._drain:
-                with self._lock:
-                    drained = not self._pending and not self._in_flight
-                if drained:
-                    return
-            for event in fleet.poll(_POLL_S):
-                self._handle_event(event)
-
-    def _dispatch_ready(self, fleet: WorkerFleet) -> None:
-        tel = telemetry.get_telemetry()
-        while fleet.idle_count > 0:
-            job = self._next_ready()
-            if job is None:
-                return
-            if self._should_cancel(job.run_id):
-                self._finish_cancelled_queued(job)
-                continue
-            job.attempts += 1
-            job.in_flight = True
-            with self._lock:
-                self._in_flight[job.run_id] = job
-            if job.attempts == 1:
-                tel.histogram(
-                    "service_queue_wait_seconds",
-                    buckets=telemetry.SECONDS_BUCKETS,
-                ).observe(time.monotonic() - job.enqueued_at)
-            else:
-                tel.counter("service_run_retries_total").inc()
-            self.store.record_attempt(job.run_id)
-            fleet.dispatch(job.run_id)
-
-    def _next_ready(self) -> _JobState | None:
-        """Pop the first pending job whose backoff window has elapsed."""
-        now = time.monotonic()
-        with self._lock:
-            for _ in range(len(self._pending)):
-                job = self._pending.popleft()
-                if job.not_before <= now:
-                    return job
-                self._pending.append(job)  # still backing off; rotate
-        return None
-
-    def _finish_cancelled_queued(self, job: _JobState) -> None:
+        """Own the pool: feed it submitted runs, settle what it reports."""
+        pool = self._fleet
         try:
-            self.store.set_state(job.run_id, "cancelled")
+            while not (self._stopping.is_set() and not self._drain):
+                with self._lock:
+                    arrived = list(self._inbox)
+                    self._inbox.clear()
+                for run_id in arrived:
+                    pool.submit(run_id, (), label=f"run {run_id}", fault_id="worker")
+                if self._stopping.is_set() and not pool.unfinished():
+                    return  # drained
+                for event in pool.poll(_POLL_S):
+                    self._handle_event(event)
+        finally:
+            # Without a drain, in-flight runs die with their workers and
+            # resume on the next start.
+            pool.close(kill=not self._drain)
+
+    def _before_dispatch(self, task, execution: int, seq: int) -> tuple | None:
+        """Pool hook: cancel a queued run, or account its next attempt."""
+        run_id = task.key
+        if self._should_cancel(run_id):
+            self._finish_cancelled_queued(run_id)
+            return None
+        tel = telemetry.get_telemetry()
+        if execution == 1:
+            with self._lock:
+                enqueued_at = self._enqueued.get(run_id, time.monotonic())
+            tel.histogram(
+                "service_queue_wait_seconds", buckets=telemetry.SECONDS_BUCKETS
+            ).observe(time.monotonic() - enqueued_at)
+        else:
+            tel.counter("service_run_retries_total").inc()
+        with self._lock:
+            self._in_flight.add(run_id)
+        self.store.record_attempt(run_id)
+        return (str(self.store.root), run_id, self.jobs_per_run, self._faults, seq)
+
+    def _finish_cancelled_queued(self, run_id: str) -> None:
+        try:
+            self.store.set_state(run_id, "cancelled")
             self.store.append_journal(
-                job.run_id, {"event": "cancelled", "while": "queued"}
+                run_id, {"event": "cancelled", "while": "queued"}
             )
-            self.store.clear_cancel(job.run_id)
+            self.store.clear_cancel(run_id)
         except Exception:
             pass
         self._count_job("cancelled")
-        self._forget(job.run_id)
+        self._forget(run_id)
 
-    def _handle_event(self, event) -> None:
+    def _handle_event(self, event: PoolEvent) -> None:
+        run_id = event.task.key
         with self._lock:
-            job = self._in_flight.pop(event.run_id, None)
-        if job is None:
-            return  # stale event for a run we no longer track
-        job.in_flight = False
-        if event.kind == "done":
-            self._count_job(event.state, event.elapsed)
-            if event.state == "done":
+            self._in_flight.discard(run_id)
+        if event.kind == "ok":
+            self._count_job(event.result, event.elapsed)
+            if event.result == "done":
                 self._note_success()
-            self._forget(job.run_id)
+            self._forget(run_id)
             return
-        if event.kind == "failed":
+        if event.kind == "error":
             self.store.append_journal(
-                job.run_id, {"event": "worker-error", "error": event.message}
+                run_id, {"event": "worker-error", "error": event.message}
             )
             if event.permanent:
                 # Permanent failures (ReproError) are never retried.
                 # store.execute marks the run failed itself, but an error
                 # raised before it (e.g. an unreadable scenario.json in
                 # store.get) would leave the run queued -- settle it here.
-                if self.store.status(job.run_id).get("state") not in (
+                if self.store.status(run_id).get("state") not in (
                     "failed", "cancelled", "quarantined",
                 ):
                     try:
-                        self.store.set_state(
-                            job.run_id, "failed", error=event.message
-                        )
+                        self.store.set_state(run_id, "failed", error=event.message)
                     except Exception:
                         pass
                 self._count_job("failed", event.elapsed)
-                self._forget(job.run_id)
+                self._forget(run_id)
                 return
-            self._retry_or_quarantine(job, event, delay=True)
-            return
-        # died / timeout / stalled: the substrate failed, not the run.
-        self._note_substrate_failure()
-        self.store.append_journal(
-            job.run_id, {"event": f"worker-{event.kind}", "error": event.message}
-        )
-        if event.kind in ("timeout", "stalled") and not self.retry.retry_timeouts:
-            self._quarantine(job, event)
-            return
-        self._retry_or_quarantine(job, event, delay=event.kind != "died")
-
-    def _retry_or_quarantine(self, job: _JobState, event, delay: bool) -> None:
-        if job.attempts >= self.retry.max_attempts:
-            self._quarantine(job, event)
-            return
-        if delay:
-            job.not_before = time.monotonic() + self.retry.delay(
-                job.run_id, job.attempts
+        else:  # the substrate failed, not the run
+            cause = _LOST[event.kind]
+            self._note_substrate_failure()
+            telemetry.get_telemetry().counter(
+                "service_worker_deaths_total",
+                cause="busy" if cause == "died" else cause,
+            ).inc()
+            self.store.append_journal(
+                run_id, {"event": f"worker-{cause}", "error": event.message}
             )
-        else:
-            job.not_before = 0.0  # a worker death requeues immediately
-        with self._lock:
-            self._pending.append(job)
-
-    def _quarantine(self, job: _JobState, event) -> None:
-        reason = (
-            f"{event.message} (attempt {job.attempts}/{self.retry.max_attempts})"
-        )
-        try:
-            self.store.quarantine(job.run_id, reason, kind="poison")
-        except Exception:
-            pass
-        self._count_job("quarantined", event.elapsed)
-        self._forget(job.run_id)
+        if event.task.state == "failed":
+            reason = (
+                f"{event.message} (attempt {event.execution}/"
+                f"{self.retry.max_attempts})"
+            )
+            try:
+                self.store.quarantine(run_id, reason, kind="poison")
+            except Exception:
+                pass
+            self._count_job("quarantined", event.elapsed)
+            self._forget(run_id)
 
     def _forget(self, run_id: str) -> None:
         with self._lock:
-            self._enqueued.discard(run_id)
+            self._enqueued.pop(run_id, None)
             self._cancel_requested.discard(run_id)
             self._gauge_depth()
 
@@ -509,50 +449,13 @@ class JobService:
     def _count_job(state: str, seconds: float | None = None) -> None:
         # Parent-side accounting: the worker process's telemetry registry
         # is a fork-copy, so its increments never reach the daemon's
-        # /metrics; the dispatcher counts terminal outcomes instead
-        # (thread mode counts inside store.execute and skips this).
+        # /metrics; the dispatcher counts terminal outcomes instead.
         tel = telemetry.get_telemetry()
         tel.counter("service_jobs_total", state=state).inc()
         if seconds is not None:
             tel.histogram(
                 "service_job_seconds", buckets=telemetry.SECONDS_BUCKETS
             ).observe(seconds)
-
-    # -- thread-mode worker loop (the PR 8 path; overhead baseline) --------
-
-    def _worker(self) -> None:
-        tel = telemetry.get_telemetry()
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            run_id, enqueued_at = item
-            tel.histogram(
-                "service_queue_wait_seconds", buckets=telemetry.SECONDS_BUCKETS
-            ).observe(time.monotonic() - enqueued_at)
-            try:
-                if self._should_cancel(run_id):
-                    self.store.set_state(run_id, "cancelled")
-                    self.store.append_journal(
-                        run_id, {"event": "cancelled", "while": "queued"}
-                    )
-                    self.store.clear_cancel(run_id)
-                else:
-                    record = self.store.get(run_id)
-                    self.store.execute(
-                        record,
-                        jobs=self.jobs_per_run,
-                        should_cancel=lambda: self._should_cancel(run_id),
-                    )
-            except Exception as exc:  # store marked the run failed
-                self.store.append_journal(
-                    run_id,
-                    {"event": "worker-error",
-                     "error": f"{type(exc).__name__}: {exc}"},
-                )
-            finally:
-                self._forget(run_id)
-                self._queue.task_done()
 
     def _gauge_depth(self) -> None:
         telemetry.get_telemetry().gauge("service_queue_depth").set(
@@ -569,7 +472,6 @@ class JobService:
                 "in_flight": len(self._in_flight),
                 "queue_limit": self.queue_limit,
                 "workers": self.num_workers,
-                "worker_mode": self.worker_mode,
                 "jobs_per_run": self.jobs_per_run,
                 "run_timeout": self.run_timeout,
                 "degraded": self._degraded,

@@ -329,37 +329,6 @@ class TestShardContext:
         assert get_shard_context().jobs is None
 
 
-class TestSchedulerExitSemantics:
-    class _FakePool:
-        def __init__(self):
-            self.calls = []
-
-        def terminate(self):
-            self.calls.append("terminate")
-
-        def close(self):
-            self.calls.append("close")
-
-        def join(self):
-            self.calls.append("join")
-
-    def test_exception_terminates_pool(self):
-        sched = ShardedScheduler(jobs=2, supervised=False)
-        fake = self._FakePool()
-        with pytest.raises(RuntimeError):
-            with sched:
-                sched._pool = fake
-                raise RuntimeError("boom")
-        assert fake.calls == ["terminate", "join"]
-
-    def test_clean_exit_closes_pool(self):
-        sched = ShardedScheduler(jobs=2, supervised=False)
-        fake = self._FakePool()
-        with sched:
-            sched._pool = fake
-        assert fake.calls == ["close", "join"]
-
-
 class TestValidation:
     def test_bad_supervision_jobs(self):
         with pytest.raises(ConfigurationError):
@@ -372,11 +341,6 @@ class TestValidation:
     def test_bad_straggler_factor(self):
         with pytest.raises(ConfigurationError):
             SupervisionConfig(straggler_factor=1.0)
-
-    def test_run_report_requires_supervised_scheduler(self):
-        with pytest.raises(ConfigurationError, match="supervised"):
-            with ShardedScheduler(jobs=1, supervised=False) as sched:
-                sched.run_report(run_shard, [SPEC])
 
 
 class TestRunAllIntegration:

@@ -70,14 +70,6 @@ class TestFaultPlanValidation:
         with pytest.raises(ConfigurationError, match="service fault kind"):
             ServiceFaultPlan.from_spec("worker:tamper@1")
 
-    def test_thread_mode_rejects_fault_injection(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="worker processes"):
-            JobService(
-                RunStore(tmp_path / "s"),
-                worker_mode="thread",
-                fault_spec="worker:kill@1",
-            )
-
 
 class TestWorkerKill:
     def test_killed_worker_requeues_and_matches_undisturbed_run(self, tmp_path):
