@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 
 from repro.adversary.vector import make_batched_adversary
+from repro.core.config import default_slot_budget
 from repro.errors import ConfigurationError
 from repro.protocols.vector import VectorLESKPolicy
 from repro.resilience.auditor import BatchInvariantAuditor
 from repro.resilience.faults import FaultModel
 from repro.sim.vectorized import simulate_stations_vectorized
+from repro.telemetry import collecting
 from repro.types import CDMode
 
 EPS = 0.5
@@ -72,6 +74,37 @@ class TestPins:
         assert list(r.leaders) == [5, 30, 21, 25, 1, 29]
         assert r.elected.all()
         assert not r.leader_survived.any()
+
+    def test_corruption_audited(self):
+        # A10's vectorized cell: corruption only (no churn, no skew),
+        # every slot audited.
+        n, reps = 32, 6
+        with collecting() as tel:
+            auditor = BatchInvariantAuditor(T, EPS, reps)
+            r = vectorized_lesk(
+                "saturating",
+                n=n,
+                reps=reps,
+                seed=123,
+                max_slots=default_slot_budget(n, EPS, T),
+                faults=FaultModel(flip_rate=0.05, erase_rate=0.05),
+                auditor=auditor,
+            )
+        assert list(r.slots) == [126, 119, 204, 116, 229, 98]
+        assert list(r.leaders) == [30, 5, 9, 5, 24, 21]
+        assert r.elected.all()
+        assert auditor.slots_checked == 229
+        counters = {
+            (name, kind): tel.metrics.counter_value(name, kind=kind)
+            for name in ("faults_injected_total", "feedback_corrupted_total")
+            for kind in ("flip", "erase")
+        }
+        assert counters == {
+            ("faults_injected_total", "flip"): 43,
+            ("faults_injected_total", "erase"): 54,
+            ("feedback_corrupted_total", "flip"): 43,
+            ("feedback_corrupted_total", "erase"): 54,
+        }
 
     def test_reproducible(self):
         a = vectorized_lesk("reactive", seed=13)
