@@ -117,7 +117,12 @@ class StationProtocol(abc.ABC):
 
     @abc.abstractmethod
     def end_slot(self, slot: int, feedback: SlotFeedback) -> None:
-        """Receive the slot's feedback (already CD-mode filtered)."""
+        """Receive the slot's feedback (already CD-mode filtered).
+
+        *feedback* is immutable and shared: every station with the same
+        action in the same slot receives the same object, so read it and
+        never keep state on it.
+        """
 
     @property
     @abc.abstractmethod

@@ -25,6 +25,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
 
@@ -77,12 +78,19 @@ def slots_of_interval(i: int, j: int) -> range:
     return range(start, end)
 
 
+#: Recent slots to memoise per locator.  Every station of a slot asks for
+#: the same slot, and slots advance in order, so a short window serves the
+#: whole population; the returned :class:`IntervalId` is frozen and shared.
+_LOCATOR_CACHE = 64
+
+
+@lru_cache(maxsize=_LOCATOR_CACHE)
 def interval_of_slot(slot: int) -> IntervalId | None:
     """Locate *slot* in the partition; ``None`` for slots 0..2.
 
     O(1): the block of index ``i`` spans ``[3*(2**i - 1), 3*(2**(i+1) - 1))``
     = ``[3*2^i - 3, 6*2^i - 3)`` and contains the three intervals of size
-    ``2**i`` in order ``j = 1, 2, 3``.
+    ``2**i`` in order ``j = 1, 2, 3``.  Memoised over recent slots.
     """
     if slot < 0:
         raise ConfigurationError(f"slot must be >= 0, got {slot}")
@@ -106,11 +114,13 @@ def fixed_partition(length: int):
     interval eventually exceeds any (unknown) ``T``; a fixed partition
     loses exactly that property -- an adversary that can afford ``length``
     consecutive jams denies every ``C^i_3`` forever.  Returns a callable
-    with the same signature as :func:`interval_of_slot`.
+    with the same signature (and the same memoisation) as
+    :func:`interval_of_slot`.
     """
     if length < 1:
         raise ConfigurationError(f"length must be >= 1, got {length}")
 
+    @lru_cache(maxsize=_LOCATOR_CACHE)
     def locate(slot: int) -> IntervalId | None:
         if slot < 0:
             raise ConfigurationError(f"slot must be >= 0, got {slot}")

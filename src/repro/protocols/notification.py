@@ -71,7 +71,9 @@ class NotificationStation(StationProtocol):
         Slot locator mapping a slot to its interval (default: the paper's
         doubling partition).  Ablation A9 swaps in
         :func:`~repro.protocols.intervals.fixed_partition` to show why the
-        doubling matters.
+        doubling matters.  It must be a pure function of the slot: the
+        station asks once per slot, in :meth:`begin_slot`, and the
+        built-in locators memoise their answers.
     """
 
     def __init__(
@@ -91,6 +93,7 @@ class NotificationStation(StationProtocol):
         self._alg_active_this_slot = False
         self._pending = False
         self._transmitted = False
+        self._iv: IntervalId | None = None  # this slot's interval
 
     # -- StationProtocol -----------------------------------------------------
 
@@ -105,6 +108,7 @@ class NotificationStation(StationProtocol):
         self._alg_active_this_slot = False
         self._pending = False
         self._transmitted = False
+        self._iv = None
 
     def _run_set(self) -> int | None:
         """Which interval class (j) this station currently runs ``A`` in."""
@@ -124,7 +128,7 @@ class NotificationStation(StationProtocol):
         self._transmitted = False
         if self.phase is Phase.DONE:
             return Action.LISTEN
-        iv = self.partition(slot)
+        iv = self._iv = self.partition(slot)
         if iv is None:
             return Action.LISTEN
 
@@ -156,7 +160,7 @@ class NotificationStation(StationProtocol):
         self._pending = False
         if self.phase is Phase.DONE:
             return
-        iv = self.partition(slot)
+        iv = self._iv  # located by begin_slot for this same slot
         if iv is None:
             return
 

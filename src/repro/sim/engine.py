@@ -116,6 +116,23 @@ def simulate_stations(
 
     trace = ChannelTrace(record_probabilities=True)
     energy = EnergyStats(per_station_transmissions=[0] * n)
+    # Feedback depends only on (transmitted, observed state), so every
+    # station of a slot gets one of these shared, immutable objects:
+    # ``feedback[observed] = (transmitter's, listener's)``.  An erased slot
+    # (observed ``None``) withholds feedback from everyone; a sleeping
+    # station hears nothing either.
+    feedback = {
+        state: (
+            feedback_for(transmitted=True, observed=state, mode=cd_mode),
+            feedback_for(transmitted=False, observed=state, mode=cd_mode),
+        )
+        for state in ChannelState
+    }
+    feedback[None] = (
+        SlotFeedback(transmitted=True, perceived=PerceivedState.UNKNOWN),
+        SlotFeedback(transmitted=False, perceived=PerceivedState.UNKNOWN),
+    )
+    asleep = feedback[None][1]
     actions: list[Action] = [Action.LISTEN] * n
     slots_run = 0
     first_single: int | None = None
@@ -205,31 +222,23 @@ def simulate_stations(
             )
 
         # (4) feedback to active stations.
+        sent, heard = feedback[observed]
         for sid, station in enumerate(stations):
             if participating is not None and not participating[sid]:
                 # Missed the slot: no begin_slot happened, so no delivery.
                 continue
-            if station.done and actions[sid] is Action.LISTEN:
-                # Terminated stations sleep; skip delivery.  (A station that
-                # transmitted and became done in a previous slot is already
-                # covered by the same check.)
-                continue
-            if actions[sid] is Action.SLEEP:
-                # A sleeping station learns nothing about the slot.
-                fb = SlotFeedback(transmitted=False, perceived=PerceivedState.UNKNOWN)
-            elif observed is None:
-                # Fault-erased slot: everyone's feedback is withheld.
-                fb = SlotFeedback(
-                    transmitted=actions[sid] is Action.TRANSMIT,
-                    perceived=PerceivedState.UNKNOWN,
-                )
+            action = actions[sid]
+            if action is Action.LISTEN:
+                if station.done:
+                    # Terminated stations sleep; skip delivery.  (A station
+                    # that transmitted and became done in a previous slot is
+                    # already covered by the same check.)
+                    continue
+                station.end_slot(slot, heard)
+            elif action is Action.TRANSMIT:
+                station.end_slot(slot, sent)
             else:
-                fb = feedback_for(
-                    transmitted=actions[sid] is Action.TRANSMIT,
-                    observed=observed,
-                    mode=cd_mode,
-                )
-            station.end_slot(slot, fb)
+                station.end_slot(slot, asleep)
 
         slots_run = slot + 1
         if stop_on_first_single and first_single is not None:

@@ -156,6 +156,12 @@ def simulate_stations_vectorized(
     adversary = adversary_factory(reps)
     adversary.reset(seed=root.spawn(1)[0])
     realized = _realize_per_rep(faults, n, reps, max_slots, root)
+    # Without churn or clock skew every cell is awake and none ever
+    # crashes: ``part`` and ``crashed`` keep their initial values and only
+    # corruption is drawn per slot.
+    churn = realized is not None and (
+        realized[0].model.has_churn or realized[0].model.skew_rate > 0.0
+    )
 
     # Cell state, shape (reps, n).
     cell_done = np.zeros((reps, n), dtype=bool)
@@ -232,17 +238,17 @@ def simulate_stations_vectorized(
         # hold their state and spend no energy.
         if realized is not None:
             for r in live:
-                part[r] = realized[r].station_awake(slot)
-                f = realized[r].begin_slot(slot, int(part[r].sum()))
+                awake = n
+                if churn:
+                    part[r] = realized[r].station_awake(slot)
+                    awake = int(part[r].sum())
+                    crashed[r] = (realized[r].crash_slot >= 0) & (
+                        realized[r].crash_slot <= slot
+                    )
+                f = realized[r].begin_slot(slot, awake)
                 flip[r], erase[r], downgrade[r] = f.flip, f.erase, f.downgrade
-                crashed[r] = (realized[r].crash_slot >= 0) & (
-                    realized[r].crash_slot <= slot
-                )
-            alive = part & ~cell_done
-            alive &= rep_active[:, None]
-        else:
-            alive = ~cell_done
-            alive &= rep_active[:, None]
+        alive = part & ~cell_done
+        alive &= rep_active[:, None]
         for r in live:
             uniforms[r] = rep_rngs[r].random(n)
         transmit = alive & (uniforms < pm.clip(0.0, 1.0))
