@@ -240,7 +240,7 @@ def test_megakernel_vs_batched_throughput():
             root_seed=11,
         )
 
-    batched_call(), megakernel_call()  # warm-up: schedule cache, pools
+    batched_call(), megakernel_call()  # warm-up: allocator pools
     batched_s = megakernel_s = float("inf")
     for _ in range(5):
         start = time.perf_counter()
@@ -700,7 +700,7 @@ def measure_shard_supervision_overhead(
     def key(cells):
         return [[(r.slots, r.elected) for r in cell] for cell in cells]
 
-    results = sweep(False)  # warm-up: allocator pools, schedule caches
+    results = sweep(False)  # warm-up: allocator pools
     assert [len(c) for c in results] == [reps, reps]
     assert key(sweep(True)) == key(results)
     plain_s = supervised_s = float("inf")

@@ -1,18 +1,18 @@
 """Shared benchmark plumbing.
 
-Every table/figure of the reproduction has one benchmark target that (a)
-times the experiment at the ``small`` preset via pytest-benchmark and (b)
-prints the regenerated table so ``pytest benchmarks/ --benchmark-only -s``
-doubles as a quick reproduction report.  The ``full`` preset (the
-EXPERIMENTS.md numbers) is run via ``python -m repro.experiments.run_all``.
+Every table/figure of the reproduction has one benchmark target in
+``bench_experiments.py`` (parametrized over ``run_all.EXPERIMENT_MODULES``)
+that (a) times the experiment at the ``small`` preset via pytest-benchmark
+and (b) prints the regenerated table, so
+``pytest benchmarks/ --benchmark-only -s`` doubles as a quick reproduction
+report.  The ``full`` preset (the EXPERIMENTS.md numbers) is run via
+``python -m repro.experiments.run_all``.
 """
 
 from __future__ import annotations
 
-import pytest
 
-
-def run_experiment_benchmark(benchmark, exp_id: str, capsys=None) -> None:
+def run_experiment_benchmark(benchmark, exp_id: str) -> None:
     """Time one experiment at the small preset and echo its table."""
     from repro.experiments.run_all import run_experiment
 
@@ -21,13 +21,3 @@ def run_experiment_benchmark(benchmark, exp_id: str, capsys=None) -> None:
     )
     print()
     print(table.render())
-
-
-@pytest.fixture
-def experiment_benchmark(benchmark):
-    """Fixture form of :func:`run_experiment_benchmark`."""
-
-    def _run(exp_id: str):
-        run_experiment_benchmark(benchmark, exp_id)
-
-    return _run

@@ -26,6 +26,7 @@ A6    energy-vs-robustness frontier (e18)
 A7    the price of universality (e19)
 A8    evolution-searched adversaries (e20)
 A9    ablation: why Notification's intervals double (e21)
+A10   robustness: election under injected faults (e22)
 ====  ==========================================================
 
 Every experiment module exposes ``run(preset="small"|"full", seed=...)``

@@ -5,17 +5,18 @@ protocol(n, eps, T) against a named adversary".  This module picks the
 fastest engine that can run each cell:
 
 * the slot-blocked megakernel (:mod:`repro.sim.megakernel`) when the cell
-  asks for it (``megakernel=True``, driven by the preset-level switch
-  :data:`repro.experiments.harness.MEGAKERNEL_PRESETS`): oblivious
-  (schedulable) adversaries run the fused fast path, everything else
-  delegates to the batched engine byte-identically inside the engine;
-* the batched cross-replication engine (:mod:`repro.sim.batched`) when the
-  preset-level switch (:data:`repro.experiments.harness.BATCHED_PRESETS`)
-  is on *and* the adversary has a vectorized implementation -- which since
-  the adaptive family gained :class:`~repro.adversary.vector`
-  counterparts covers the whole strategy suite;
+  asks for it (``megakernel=True``; experiments T1, T2 and F2 do):
+  oblivious (schedulable) adversaries run the fused fast path,
+  everything else delegates to the batched engine byte-identically
+  inside the engine;
+* the batched cross-replication engine (:mod:`repro.sim.batched`) by
+  default (``batched=True``) when the adversary has a vectorized
+  implementation -- which since the adaptive family gained
+  :class:`~repro.adversary.vector` counterparts covers the whole
+  strategy suite;
 * the scalar fast-engine loop via :func:`repro.experiments.harness.replicate`
-  otherwise.  The fallback is never silent: it increments
+  otherwise, and as the reference when a caller passes ``batched=False``.
+  The fallback from ``batched=True`` is never silent: it increments
   ``engine_fallback_total{reason=...}`` and warns once per component
   (:func:`repro.experiments.harness.record_engine_fallback`).
 

@@ -17,8 +17,6 @@ from repro.experiments.cells import lesk_cell
 from repro.experiments.harness import (
     Column,
     Table,
-    batched_enabled,
-    megakernel_enabled,
     preset_value,
     summarize_times,
 )
@@ -28,28 +26,13 @@ EXPERIMENT = "T1"
 ADVERSARIES = ("none", "saturating", "single-suppressor", "estimator-attacker")
 
 
-def run(
-    preset: str = "small",
-    seed: int = 2015,
-    batched: bool | None = None,
-    megakernel: bool | None = None,
-) -> Table:
+def run(preset: str = "small", seed: int = 2015) -> Table:
     """Run experiment T1 at *preset* scale and return its table.
 
-    ``batched=None`` follows the preset-level engine switch
-    (:func:`~repro.experiments.harness.batched_enabled`): oblivious-adversary
-    cells then run on the batched cross-replication engine, while the
-    adaptive adversaries stay on the scalar fast engine.
-    ``megakernel=None`` likewise follows
-    :func:`~repro.experiments.harness.megakernel_enabled`: the oblivious
-    cells (``none``/``saturating``) then run the slot-blocked fused fast
-    path, and the adaptive ones delegate back to the batched engine
-    inside the megakernel.
+    Every cell runs on the slot-blocked megakernel: the oblivious cells
+    (``none``/``saturating``) take its fused fast path, and the adaptive
+    ones delegate back to the batched engine inside the megakernel.
     """
-    if batched is None:
-        batched = batched_enabled(preset)
-    if megakernel is None:
-        megakernel = megakernel_enabled(preset)
     ns = preset_value(preset, [64, 256, 1024], [16, 64, 256, 1024, 4096, 16384, 65536])
     reps = preset_value(preset, 20, 200)
     eps = 0.5
@@ -82,8 +65,7 @@ def run(
                 1,
                 ADVERSARIES.index(adversary),
                 ni,
-                batched=batched,
-                megakernel=megakernel,
+                megakernel=True,
             )
             stats = summarize_times(results)
             table.add_row(

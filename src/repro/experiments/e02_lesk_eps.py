@@ -15,8 +15,6 @@ from repro.experiments.cells import lesk_cell
 from repro.experiments.harness import (
     Column,
     Table,
-    batched_enabled,
-    megakernel_enabled,
     preset_value,
     summarize_times,
 )
@@ -24,23 +22,12 @@ from repro.experiments.harness import (
 EXPERIMENT = "T2"
 
 
-def run(
-    preset: str = "small",
-    seed: int = 2016,
-    batched: bool | None = None,
-    megakernel: bool | None = None,
-) -> Table:
+def run(preset: str = "small", seed: int = 2016) -> Table:
     """Run experiment T2 at *preset* scale and return its table.
 
-    ``batched=None`` follows the preset-level engine switch; the saturating
-    jammer is oblivious, so every cell runs on the batched engine when on
-    -- and on the slot-blocked megakernel fast path when ``megakernel``
-    (default: the preset switch) is also on.
+    The saturating jammer is oblivious, so every cell runs on the
+    slot-blocked megakernel's fused fast path.
     """
-    if batched is None:
-        batched = batched_enabled(preset)
-    if megakernel is None:
-        megakernel = megakernel_enabled(preset)
     eps_values = preset_value(
         preset, [0.8, 0.5, 0.3], [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.15]
     )
@@ -65,8 +52,7 @@ def run(
     )
     for ei, eps in enumerate(eps_values):
         results = lesk_cell(
-            n, eps, T, adversary, reps, seed, 2, ei,
-            batched=batched, megakernel=megakernel,
+            n, eps, T, adversary, reps, seed, 2, ei, megakernel=True
         )
         stats = summarize_times(results)
         bound = lesk_time_bound(n, eps, T)

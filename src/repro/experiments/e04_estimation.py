@@ -20,19 +20,17 @@ import math
 
 from repro.analysis.bounds import estimation_result_bounds
 from repro.experiments.cells import CellSpec, run_cells
-from repro.experiments.harness import Column, Table, batched_enabled, preset_value
+from repro.experiments.harness import Column, Table, preset_value
 
 EXPERIMENT = "T4"
 
 
-def run(preset: str = "small", seed: int = 2018, batched: bool | None = None) -> Table:
+def run(preset: str = "small", seed: int = 2018) -> Table:
     """Run experiment T4 at *preset* scale and return its table.
 
-    ``batched=None`` follows the preset-level engine switch; the cell's
-    ``policy_result`` round indices come out of either engine.
+    The cells run on the batched engine, which reports each run's
+    ``policy_result`` round index.
     """
-    if batched is None:
-        batched = batched_enabled(preset)
     ns = preset_value(preset, [256, 4096], [128, 1024, 8192, 65536, 2**20])
     Ts = preset_value(preset, [1, 256], [1, 64, 1024, 16384])
     reps = preset_value(preset, 20, 200)
@@ -58,7 +56,7 @@ def run(preset: str = "small", seed: int = 2018, batched: bool | None = None) ->
     specs = [
         CellSpec(
             kind="estimation", n=n, eps=eps, T=T, adversary=adversary,
-            reps=reps, root_seed=seed, path=(4, gi, ti), batched=batched,
+            reps=reps, root_seed=seed, path=(4, gi, ti),
         )
         for gi, n in enumerate(ns)
         for ti, T in enumerate(Ts)

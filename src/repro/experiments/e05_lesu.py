@@ -16,13 +16,7 @@ from __future__ import annotations
 
 from repro.analysis.bounds import lesu_regime, lesu_time_bound
 from repro.experiments.cells import CellSpec, run_cells
-from repro.experiments.harness import (
-    Column,
-    Table,
-    batched_enabled,
-    preset_value,
-    summarize_times,
-)
+from repro.experiments.harness import Column, Table, preset_value, summarize_times
 
 EXPERIMENT = "T5"
 
@@ -48,12 +42,11 @@ def _sweep(
     adversary: str,
     seed: int,
     tag: int,
-    batched: bool,
 ):
     specs = [
         CellSpec(
             kind="lesu", n=n, eps=eps, T=T, adversary=adversary,
-            reps=reps, root_seed=seed, path=(5, tag, gi), batched=batched,
+            reps=reps, root_seed=seed, path=(5, tag, gi),
         )
         for gi, (n, T) in enumerate(grid)
     ]
@@ -73,14 +66,12 @@ def _sweep(
         )
 
 
-def run(preset: str = "small", seed: int = 2019, batched: bool | None = None) -> Table:
+def run(preset: str = "small", seed: int = 2019) -> Table:
     """Run experiment T5 at *preset* scale and return its table.
 
-    ``batched=None`` follows the preset-level engine switch; LESU cells
-    run through :class:`~repro.protocols.vector.VectorLESUPolicy` when on.
+    LESU cells run on the batched engine through
+    :class:`~repro.protocols.vector.VectorLESUPolicy`.
     """
-    if batched is None:
-        batched = batched_enabled(preset)
     reps = preset_value(preset, 15, 150)
     eps = 0.5
     adversary = "saturating"
@@ -96,9 +87,9 @@ def run(preset: str = "small", seed: int = 2019, batched: bool | None = None) ->
         columns=_columns(),
     )
     # Regime 1: T small, sweep n.
-    _sweep(table, [(n, 4) for n in ns], reps, eps, adversary, seed, 0, batched)
+    _sweep(table, [(n, 4) for n in ns], reps, eps, adversary, seed, 0)
     # Regime 2: n fixed, sweep large T.
-    _sweep(table, [(n_fixed, T) for T in Ts], reps, eps, adversary, seed, 1, batched)
+    _sweep(table, [(n_fixed, T) for T in Ts], reps, eps, adversary, seed, 1)
     table.add_note(
         "stations receive no parameters at all; 'bound shape' is the Thm 2.9 "
         "expression without its big-O constant"

@@ -20,7 +20,6 @@ from repro.experiments.cells import CellSpec, run_cells
 from repro.experiments.harness import (
     Column,
     Table,
-    batched_enabled,
     preset_value,
     replicate,
     summarize_times,
@@ -38,14 +37,12 @@ def _run_ars(n: int, eps: float, T: int, adversary: str, seed: int, max_slots: i
     )
 
 
-def run(preset: str = "small", seed: int = 2021, batched: bool | None = None) -> Table:
+def run(preset: str = "small", seed: int = 2021) -> Table:
     """Run experiment T7 at *preset* scale and return its table.
 
-    ``batched=None`` follows the preset-level engine switch (LESK side
-    only; the ARS baseline is a per-station machine and stays scalar).
+    The LESK side runs on the batched engine; the ARS baseline is a
+    per-station machine and stays scalar.
     """
-    if batched is None:
-        batched = batched_enabled(preset)
     ns = preset_value(preset, [32, 128, 512], [32, 128, 512, 2048, 8192, 32768])
     reps = preset_value(preset, 8, 40)
     eps = 0.5
@@ -69,7 +66,7 @@ def run(preset: str = "small", seed: int = 2021, batched: bool | None = None) ->
     lesk_specs = [
         CellSpec(
             kind="lesk", n=n, eps=eps, T=T, adversary=adversary,
-            reps=reps, root_seed=seed, path=(7, ni, 0), batched=batched,
+            reps=reps, root_seed=seed, path=(7, ni, 0),
         )
         for ni, n in enumerate(ns)
     ]

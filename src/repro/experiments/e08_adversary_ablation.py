@@ -24,13 +24,7 @@ from repro.experiments.cells import (
     run_cells,
     run_cells_sharded_report,
 )
-from repro.experiments.harness import (
-    Column,
-    Table,
-    batched_enabled,
-    preset_value,
-    summarize_times,
-)
+from repro.experiments.harness import Column, Table, preset_value, summarize_times
 
 EXPERIMENT = "T8"
 
@@ -67,16 +61,13 @@ def _lesk_with_jam_shards(specs):
     return results, shards
 
 
-def run(preset: str = "small", seed: int = 2022, batched: bool | None = None) -> Table:
+def run(preset: str = "small", seed: int = 2022) -> Table:
     """Run experiment T8 at *preset* scale and return its table.
 
-    ``batched=None`` follows the preset-level engine switch; with the
-    adaptive family vectorized, *every* suite strategy runs through the
-    batched engine, and the jam-efficiency counters it publishes are the
-    same families the scalar engines feed.
+    With the adaptive family vectorized, *every* suite strategy runs
+    through the batched engine, and the jam-efficiency counters it
+    publishes are the same families the scalar engines feed.
     """
-    if batched is None:
-        batched = batched_enabled(preset)
     n = preset_value(preset, 1024, 4096)
     reps = preset_value(preset, 15, 150)
     eps = 0.4
@@ -103,14 +94,14 @@ def run(preset: str = "small", seed: int = 2022, batched: bool | None = None) ->
     lesk_specs = [
         CellSpec(
             kind="lesk", n=n, eps=eps, T=T, adversary=strategy,
-            reps=reps, root_seed=seed, path=(8, si, 0), batched=batched,
+            reps=reps, root_seed=seed, path=(8, si, 0),
         )
         for si, strategy in enumerate(strategies)
     ]
     sweep_specs = [
         CellSpec(
             kind="sweep", n=n, eps=eps, T=T, adversary=strategy,
-            reps=reps, root_seed=seed, path=(8, si, 1), batched=batched,
+            reps=reps, root_seed=seed, path=(8, si, 1),
             max_slots=sweep_budget,
         )
         for si, strategy in enumerate(strategies)

@@ -13,34 +13,18 @@ from __future__ import annotations
 
 from repro.analysis.bounds import lesk_time_bound
 from repro.experiments.cells import lesk_cell
-from repro.experiments.harness import (
-    Column,
-    Table,
-    batched_enabled,
-    megakernel_enabled,
-    preset_value,
-)
+from repro.experiments.harness import Column, Table, preset_value
 
 EXPERIMENT = "F2"
 
 
-def run(
-    preset: str = "small",
-    seed: int = 2026,
-    batched: bool | None = None,
-    megakernel: bool | None = None,
-) -> Table:
+def run(preset: str = "small", seed: int = 2026) -> Table:
     """Run experiment F2 at *preset* scale and return its table.
 
-    ``batched=None`` follows the preset-level engine switch; truncated
-    budgets map directly to the batched engine's ``max_slots``.  The
-    saturating jammer is oblivious, so with ``megakernel`` on (default:
-    the preset switch) every cell runs the slot-blocked fused fast path.
+    Truncated budgets map directly to the engine's ``max_slots``.  The
+    saturating jammer is oblivious, so every cell runs the slot-blocked
+    megakernel's fused fast path.
     """
-    if batched is None:
-        batched = batched_enabled(preset)
-    if megakernel is None:
-        megakernel = megakernel_enabled(preset)
     n = 1024
     eps = 0.5
     T = 32
@@ -69,7 +53,7 @@ def run(
         budget = max(4, int(mult * bound))
         results = lesk_cell(
             n, eps, T, adversary, reps, seed, 12, mi,
-            batched=batched, megakernel=megakernel, max_slots=budget,
+            megakernel=True, max_slots=budget,
         )
         successes = sum(1 for r in results if r.elected)
         lo, hi = wilson_interval(successes, len(results))

@@ -24,26 +24,17 @@ measurable:
 from __future__ import annotations
 
 from repro.experiments.cells import CellSpec, run_cells
-from repro.experiments.harness import (
-    Column,
-    Table,
-    batched_enabled,
-    preset_value,
-    summarize_times,
-)
+from repro.experiments.harness import Column, Table, preset_value, summarize_times
 
 EXPERIMENT = "A3"
 
 
-def run(preset: str = "small", seed: int = 2029, batched: bool | None = None) -> Table:
+def run(preset: str = "small", seed: int = 2029) -> Table:
     """Run experiment A3 at *preset* scale and return its table.
 
-    ``batched=None`` follows the preset-level engine switch; both the
-    no-CD sweep and the LESK side vectorize, and ``single-suppressor``
-    (the jammer used here) is now batchable.
+    Both the no-CD sweep and the LESK side run on the batched engine;
+    ``single-suppressor`` (the jammer used here) is batchable.
     """
-    if batched is None:
-        batched = batched_enabled(preset)
     ns = preset_value(preset, [2**8, 2**14], [2**8, 2**12, 2**16, 2**20, 2**24])
     reps = preset_value(preset, 10, 60)
     eps = 0.5
@@ -69,7 +60,7 @@ def run(preset: str = "small", seed: int = 2029, batched: bool | None = None) ->
     nocd_specs = [
         CellSpec(
             kind="nocd", n=n, eps=eps, T=T, adversary=adversary,
-            reps=reps, root_seed=seed, path=(15, ni, 0), batched=batched,
+            reps=reps, root_seed=seed, path=(15, ni, 0),
             max_slots=cap,
         )
         for ni, n in enumerate(ns)
@@ -77,7 +68,7 @@ def run(preset: str = "small", seed: int = 2029, batched: bool | None = None) ->
     lesk_specs = [
         CellSpec(
             kind="lesk", n=n, eps=eps, T=T, adversary=adversary,
-            reps=reps, root_seed=seed, path=(15, ni, 1), batched=batched,
+            reps=reps, root_seed=seed, path=(15, ni, 1),
             max_slots=cap,
         )
         for ni, n in enumerate(ns)

@@ -14,27 +14,18 @@ from __future__ import annotations
 from repro.adversary.search import find_worst_pattern
 from repro.analysis.bounds import lesk_exact_slot_bound, lesk_time_bound
 from repro.experiments.cells import CellSpec, run_cells
-from repro.experiments.harness import (
-    Column,
-    Table,
-    batched_enabled,
-    preset_value,
-    summarize_times,
-)
+from repro.experiments.harness import Column, Table, preset_value, summarize_times
 from repro.protocols.lesk import LESKPolicy
 
 EXPERIMENT = "A8"
 
 
-def run(preset: str = "small", seed: int = 2034, batched: bool | None = None) -> Table:
+def run(preset: str = "small", seed: int = 2034) -> Table:
     """Run experiment A8 at *preset* scale and return its table.
 
-    ``batched=None`` follows the preset-level engine switch (jam-free
-    baseline only; the evolutionary search evaluates candidate scripts
-    through the scalar engine).
+    The jam-free baseline runs on the batched engine; the evolutionary
+    search evaluates candidate scripts through the scalar engine.
     """
-    if batched is None:
-        batched = batched_enabled(preset)
     grid = preset_value(preset, [(256, 0.5, 16)], [(256, 0.5, 16), (1024, 0.4, 32)])
     generations = preset_value(preset, 12, 120)
     eval_seeds = preset_value(preset, 5, 15)
@@ -60,7 +51,7 @@ def run(preset: str = "small", seed: int = 2034, batched: bool | None = None) ->
     baseline_specs = [
         CellSpec(
             kind="lesk", n=n, eps=eps, T=T, adversary="none",
-            reps=reps, root_seed=seed, path=(20, gi), batched=batched,
+            reps=reps, root_seed=seed, path=(20, gi),
         )
         for gi, (n, eps, T) in enumerate(grid)
     ]

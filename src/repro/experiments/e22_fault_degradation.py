@@ -39,7 +39,6 @@ from repro.experiments.harness import (
     replicate,
     replicate_vectorized,
     summarize_times,
-    vectorized_enabled,
 )
 from repro.protocols.vector import VectorLESKPolicy, VectorLESUPolicy
 from repro.resilience.faults import NO_FAULTS, FaultModel
@@ -74,20 +73,16 @@ def _vector_policy_factory(protocol: str, eps: float):
     return lambda width: VectorLESUPolicy(width)
 
 
-def run(
-    preset: str = "small", seed: int = 2026, vectorized: bool | None = None
-) -> Table:
+def run(preset: str = "small", seed: int = 2026) -> Table:
     """Run experiment A10 at *preset* scale and return its table.
 
-    *vectorized* overrides the preset switch
-    (:data:`~repro.experiments.harness.VECTORIZED_PRESETS`): when on, the
-    corruption cells and the fault-free baseline run as one audited
-    :func:`~repro.sim.vectorized.simulate_stations_vectorized` batch per
-    cell -- the same per-station faithful model, minus the scalar station
-    loop.  Churn cells always stay on the scalar path: restart
-    supervision after a doomed leader lives in
-    :func:`~repro.core.election.elect_leader`, which reruns one scalar
-    election at a time.
+    Each corruption cell runs as one audited
+    :func:`~repro.sim.vectorized.simulate_stations_vectorized` batch --
+    the same per-station faithful model, minus the scalar station loop.
+    Churn cells (and the fault-free baseline, which is the churn sweep's
+    zero-severity row) stay on the scalar path: restart supervision after
+    a doomed leader lives in :func:`~repro.core.election.elect_leader`,
+    which reruns one scalar election at a time.
     """
     n = preset_value(preset, 128, 1024)
     eps = 0.5
@@ -99,9 +94,6 @@ def run(
         [0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5],
     )
     adversary = "saturating"
-    use_vectorized = (
-        vectorized if vectorized is not None else vectorized_enabled(preset)
-    )
 
     table = Table(
         name=EXPERIMENT,
@@ -130,10 +122,10 @@ def run(
                 if rate == 0.0 and ki > 0:
                     continue  # the fault-free baseline is one row per protocol
                 faults = _fault_model(kind, rate, n, T)
-                if use_vectorized and kind != "churn":
-                    # Corruption (and the fault-free baseline) schedules
-                    # no crashes, so restart supervision is moot and the
-                    # whole cell runs as one audited vectorized batch.
+                if kind != "churn":
+                    # Corruption schedules no crashes, so restart
+                    # supervision is moot and the whole cell runs as one
+                    # audited vectorized batch.
                     results = replicate_vectorized(
                         _vector_policy_factory(protocol, eps),
                         n,
@@ -147,15 +139,12 @@ def run(
                         ki,
                         ri,
                         max_slots=default_slot_budget(n, eps, T, protocol),
-                        faults=None if faults is NO_FAULTS else faults,
+                        faults=faults,
                         audit_T=T,
                         audit_eps=eps,
                     )
                 else:
-                    if use_vectorized:
-                        record_engine_fallback(
-                            "e22-churn", "restart-supervision"
-                        )
+                    record_engine_fallback("e22-churn", "restart-supervision")
                     results = replicate(
                         lambda s: elect_leader(
                             n=n,

@@ -34,55 +34,12 @@ __all__ = [
     "replicate_batched",
     "replicate_megakernel",
     "replicate_vectorized",
-    "batched_enabled",
-    "megakernel_enabled",
-    "vectorized_enabled",
     "record_engine_fallback",
     "ShardedScheduler",
     "SHARD_BLOCK_TAG",
     "summarize_times",
     "preset_value",
 ]
-
-#: Preset-level switch for the batched cross-replication engine: presets
-#: mapped to True run their batchable (protocol, adversary) cells through
-#: :func:`replicate_batched`; others use the scalar :func:`replicate` loop.
-#: Flip a preset here (or pass ``batched=`` to an experiment's ``run``) to
-#: force the scalar path, e.g. when bisecting a statistics regression.
-BATCHED_PRESETS: dict[str, bool] = {"small": True, "smoke": True, "full": True}
-
-#: Preset-level switch for the vectorized faithful engine
-#: (:mod:`repro.sim.vectorized`): presets mapped to True run their audited
-#: per-station cells -- the differential/audit experiments, where the
-#: faithful model is required but the scalar station loop is the
-#: bottleneck -- through :func:`replicate_vectorized`; others keep the
-#: scalar :func:`repro.sim.engine.simulate_stations` loop.
-VECTORIZED_PRESETS: dict[str, bool] = {"small": True, "smoke": True, "full": True}
-
-#: Preset-level switch for the slot-blocked megakernel engine
-#: (:mod:`repro.sim.megakernel`): presets mapped to True route their
-#: batched uniform cells through :func:`replicate_megakernel` instead of
-#: :func:`replicate_batched`.  The megakernel serves oblivious
-#: (schedulable) adversaries on the fused fast path and delegates every
-#: other configuration back to the batched engine byte-identically, so
-#: flipping this switch never changes which cells *can* run -- only how
-#: fast the oblivious ones do.
-MEGAKERNEL_PRESETS: dict[str, bool] = {"small": True, "smoke": True, "full": True}
-
-
-def batched_enabled(preset: str) -> bool:
-    """Whether the batched engine is enabled for *preset*."""
-    return BATCHED_PRESETS.get(preset, False)
-
-
-def megakernel_enabled(preset: str) -> bool:
-    """Whether the slot-blocked megakernel engine is enabled for *preset*."""
-    return MEGAKERNEL_PRESETS.get(preset, False)
-
-
-def vectorized_enabled(preset: str) -> bool:
-    """Whether the vectorized faithful engine is enabled for *preset*."""
-    return VECTORIZED_PRESETS.get(preset, False)
 
 
 def preset_value(preset: str, small, full):
@@ -346,8 +303,8 @@ def replicate_vectorized(
     attaches a :class:`~repro.resilience.auditor.BatchInvariantAuditor`
     so every slot of every replication is budget/channel-audited.
     Seeding is path-stable exactly like :func:`replicate_batched`; the
-    run-law matches the scalar faithful loop (see
-    ``tests/sim/test_vectorized.py``).
+    run-law matches the scalar faithful loop (KS-checked in
+    ``tests/sim/test_conformance.py``).
     """
     if reps < 1:
         raise ConfigurationError(f"reps must be >= 1, got {reps}")

@@ -9,8 +9,9 @@ actually *conditions* on per-slot randomness:
 * the jam-grant schedule of an **oblivious** strategy is a pure function of
   the slot index (:meth:`VectorJammingStrategy.want_schedule`), and the
   ``(T, 1-eps)`` budget run over a deterministic want sequence produces the
-  same grants for every column -- so the whole grant/deny/prefix timeline
-  is precomputed by one scalar pass per block (``_BudgetSchedule``);
+  same grants for every column -- so one scalar
+  :class:`~repro.adversary.budget.JammingBudget` per run decides every
+  slot for all of them;
 * a jammed slot is observed as ``Collision`` by every active column, so a
   run of ``L`` granted slots shifts the policy schedule deterministically;
   the engine fuses the run *plus the first following free slot* into a
@@ -20,13 +21,14 @@ actually *conditions* on per-slot randomness:
 
 Block layout
 ------------
-Slots are processed in blocks of ``block_size``.  Each block's want flags
-come from one ``want_schedule`` call, its grants from one scalar budget
-pass, and its slots are then split into *groups*: maximal runs of granted
-slots plus at most one trailing free slot.  Each group is one fused RNG
-call; free-slot outcomes (the only conditioning points) are applied
-between groups.  Winners are compacted out immediately, so draws stay at
-the active width.
+Slots are processed in blocks of ``_BLOCK_SLOTS``.  Each block's want
+flags come from one ``want_schedule`` call, its grants and jam/denied
+prefix counts from the run's ``JammingBudget`` slot by slot
+(:func:`_grant_block`), and its slots are then split into *groups*:
+maximal runs of granted slots plus at most one trailing free slot.  Each
+group is one fused RNG call; free-slot outcomes (the only conditioning
+points) are applied between groups.  Winners are compacted out
+immediately, so draws stay at the active width.
 
 RNG-stream contract
 -------------------
@@ -40,12 +42,11 @@ samples row-major, one probability at a time), so the fast path is
 **bit-identical** to :func:`~repro.sim.batched.simulate_uniform_batched`
 -- that stream is invariant to when retired columns are packed out, and
 this engine is simply its maximal-compaction limit.  Block size never
-changes results either:
-grouping is derived from the grant timeline, block boundaries only split a
-jam run, and split fused draws consume the bitstream exactly like the
-unsplit ones -- ``block_size=1`` is bit-identical to
-``block_size=max_slots`` (property-tested in
-``tests/sim/test_megakernel.py``).
+changes results either: grouping is derived from the grant timeline,
+block boundaries only split a jam run, and split fused draws consume the
+bitstream exactly like the unsplit ones -- ``_BLOCK_SLOTS = 1`` is
+bit-identical to ``_BLOCK_SLOTS >= max_slots`` (property-tested in
+``tests/sim/test_megakernel.py``, which forces the private constant).
 
 Fallback triggers
 -----------------
@@ -64,12 +65,11 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
-from collections import deque
 from typing import Callable
 
 import numpy as np
 
+from repro.adversary.budget import JammingBudget
 from repro.adversary.vector import BatchedAdversary, VectorJammingStrategy
 from repro.errors import ConfigurationError
 from repro.protocols.vector import (
@@ -87,14 +87,13 @@ from repro.telemetry import get_telemetry
 __all__ = [
     "simulate_uniform_megakernel",
     "megakernel_eligibility",
-    "DEFAULT_BLOCK_SLOTS",
 ]
 
-#: Default number of slots whose want/grant timeline is precomputed per
-#: block.  Results are provably independent of this value; it only trades
-#: scheduling overhead against the cost of running the scalar budget ahead
-#: of columns that may all retire early.
-DEFAULT_BLOCK_SLOTS = 64
+#: Slots whose wants and grants are decided per block.  Results never
+#: depend on this value (the block-invariance tests force it); it only
+#: trades per-block overhead against running the budget ahead of columns
+#: that may all retire early.
+_BLOCK_SLOTS = 64
 
 _log = logging.getLogger(__name__)
 
@@ -118,132 +117,11 @@ def _record_fallback(reason: str) -> None:
         )
 
 
-class _BudgetSchedule:
-    """Scalar replica of :class:`~repro.adversary.budget.JammingBudget`.
-
-    With a deterministic want sequence every column's ``JammingBudgetArray``
-    state is identical, so one scalar pass yields the shared grant timeline
-    plus per-slot jam/denied prefix counts.  The arithmetic -- including
-    the ``1e-12`` slack, the float expression order, and the lagged-min
-    fold -- mirrors ``JammingBudget._allowed``/``_advance`` exactly, so
-    the decisions are bit-equal to the array budget's (asserted by
-    ``tests/sim/test_megakernel.py::test_budget_schedule_matches_budget``).
-    """
-
-    def __init__(self, T: int, eps: float) -> None:
-        self.T = int(T)
-        self.rate = 1.0 - float(eps)
-        self.cap_a = self.rate * self.T + 1e-12
-        self.slot = 0
-        self.jams = 0
-        self.denied = 0
-        self.recent: deque[int] = deque([0], maxlen=self.T)
-        self.min_phi = math.inf
-        self.pending: deque[float] = deque([0.0])
-        self.folded = 0
-
-    def run(self, wants) -> tuple[list[bool], list[int], list[int]]:
-        """Decide ``len(wants)`` slots; returns per-slot ``(grants,
-        jam_prefix, denied_prefix)`` with prefixes taken *after* each
-        slot's decision."""
-        K = len(wants)
-        grants = [False] * K
-        jam_prefix = [0] * K
-        denied_prefix = [0] * K
-        T = self.T
-        rate = self.rate
-        cap_a = self.cap_a
-        recent = self.recent
-        pending = self.pending
-        jams = self.jams
-        denied = self.denied
-        slot = self.slot
-        min_phi = self.min_phi
-        folded = self.folded
-        for i in range(K):
-            granted = False
-            if wants[i]:
-                new_prefix = jams + 1
-                # (A) padded trailing window.
-                if new_prefix - recent[0] <= cap_a:
-                    end = slot + 1
-                    # (B) all full windows ending at end.
-                    if end >= T:
-                        horizon = end - T
-                        while pending and folded <= horizon:
-                            v = pending.popleft()
-                            if v < min_phi:
-                                min_phi = v
-                            folded += 1
-                    if new_prefix - rate * end <= min_phi + 1e-12:
-                        granted = True
-                if not granted:
-                    denied += 1
-            if granted:
-                jams += 1
-            slot += 1
-            recent.append(jams)
-            pending.append(jams - rate * slot)
-            grants[i] = granted
-            jam_prefix[i] = jams
-            denied_prefix[i] = denied
-        self.jams = jams
-        self.denied = denied
-        self.slot = slot
-        self.min_phi = min_phi
-        self.folded = folded
-        return grants, jam_prefix, denied_prefix
-
-    def state(self) -> tuple:
-        """Immutable snapshot, resumable via :meth:`from_state`."""
-        return (
-            self.slot,
-            self.jams,
-            self.denied,
-            tuple(self.recent),
-            self.min_phi,
-            tuple(self.pending),
-            self.folded,
-        )
-
-    @classmethod
-    def from_state(cls, T: int, eps: float, state: tuple) -> "_BudgetSchedule":
-        sched = cls(T, eps)
-        (
-            sched.slot,
-            sched.jams,
-            sched.denied,
-            recent,
-            sched.min_phi,
-            pending,
-            sched.folded,
-        ) = state
-        sched.recent = deque(recent, maxlen=sched.T)
-        sched.pending = deque(pending)
-        return sched
-
-
-#: Cached timelines never extend past this many blocks per key; longer
-#: runs continue on a private live schedule (bounds cache memory while
-#: covering every realistic election length many times over).
-_MAX_CACHED_BLOCKS = 256
-
-#: Timeline cache, keyed by ``(T, eps, block_size)``.  The grant timeline
-#: is a pure function of ``(T, eps)`` and the want sequence -- independent
-#: of seed, reps, and policy -- so repeated runs of the same cell reuse
-#: the scalar budget pass instead of re-deciding every slot.
-_SCHEDULE_CACHE: dict[tuple, "_ScheduleTimeline"] = {}
-_SCHEDULE_CACHE_LOCK = threading.Lock()
-
-
 def _segment_grants(grants: list[bool]) -> list[tuple[int, int, bool]]:
     """Split one block's grant decisions into fused groups.
 
     Each segment ``(i, j, has_free)`` is a maximal run of granted slots
     ``[i, j)`` plus, when ``has_free``, one trailing free slot at ``j``.
-    The segmentation is a pure function of the grant timeline, so cached
-    blocks store it precomputed and the engine's hot loop never scans
-    slot-by-slot in Python.
     """
     segments = []
     K = len(grants)
@@ -257,99 +135,24 @@ def _segment_grants(grants: list[bool]) -> list[tuple[int, int, bool]]:
     return segments
 
 
-class _ScheduleTimeline:
-    """Grow-only cached chain of per-block budget decisions.
+def _grant_block(
+    budget: JammingBudget, wants
+) -> tuple[list[tuple[int, int, bool]], list[int], list[int]]:
+    """Decide one block of slots on the run's shared budget.
 
-    ``blocks[b]`` holds ``(wants_bytes, segments, jam_prefix,
-    denied_prefix)`` for the ``b``-th block of a run; ``states[b]`` is the
-    schedule state *before* block ``b``.  The chain is only ever appended
-    to (under the lock), so entries stay mutually consistent; a cursor
-    whose want stream diverges from the cached chain drops to a private
-    live schedule seeded from the last matching snapshot and leaves the
-    shared chain untouched.
+    A deterministic want sequence puts every column's budget in the same
+    state, so one scalar :class:`JammingBudget` decides for all of them.
+    Returns the block's fused groups and its per-slot jam / denied prefix
+    counts, each taken *after* that slot's decision.
     """
-
-    def __init__(self, T: int, eps: float) -> None:
-        self.T = int(T)
-        self.eps = float(eps)
-        self.lock = threading.Lock()
-        self.blocks: list[tuple] = []
-        self.states: list[tuple] = [_BudgetSchedule(T, eps).state()]
-
-
-def _schedule_cursor(T: int, eps: float, block_size: int) -> "_ScheduleCursor":
-    key = (int(T), float(eps), int(block_size))
-    with _SCHEDULE_CACHE_LOCK:
-        timeline = _SCHEDULE_CACHE.get(key)
-        if timeline is None:
-            if len(_SCHEDULE_CACHE) >= 32:
-                _SCHEDULE_CACHE.clear()
-            timeline = _SCHEDULE_CACHE[key] = _ScheduleTimeline(T, eps)
-    return _ScheduleCursor(timeline)
-
-
-class _ScheduleCursor:
-    """One run's sequential walk over a :class:`_ScheduleTimeline`.
-
-    ``jams`` / ``denied`` track the budget counters after the last decided
-    block (the survivor snapshot the engine needs at the end of a run).
-    """
-
-    def __init__(self, timeline: _ScheduleTimeline) -> None:
-        self._tl = timeline
-        self._b = 0
-        self._live: _BudgetSchedule | None = None
-        self.jams = 0
-        self.denied = 0
-
-    def next_block(
-        self, wants
-    ) -> tuple[list[tuple[int, int, bool]], list[int], list[int]]:
-        if self._live is not None:
-            return self._run_live(wants)
-        tl = self._tl
-        wants_bytes = wants.tobytes()
-        with tl.lock:
-            b = self._b
-            if b < len(tl.blocks):
-                entry = tl.blocks[b]
-                if entry[0] == wants_bytes:
-                    self._b = b + 1
-                    self.jams = entry[2][-1]
-                    self.denied = entry[3][-1]
-                    return entry[1], entry[2], entry[3]
-                # Different want stream than the cached chain: continue on
-                # a private schedule, leaving the shared chain untouched.
-                self._live = _BudgetSchedule.from_state(
-                    tl.T, tl.eps, tl.states[b]
-                )
-                return self._run_live(wants)
-            if b >= _MAX_CACHED_BLOCKS:
-                self._live = _BudgetSchedule.from_state(
-                    tl.T, tl.eps, tl.states[b]
-                )
-                return self._run_live(wants)
-            # Extend the chain; computed under the lock so concurrent
-            # cursors cannot append conflicting entries.
-            sched = _BudgetSchedule.from_state(tl.T, tl.eps, tl.states[b])
-            grants, jam_prefix, denied_prefix = sched.run(wants)
-            segments = _segment_grants(grants)
-            tl.blocks.append(
-                (wants_bytes, segments, jam_prefix, denied_prefix)
-            )
-            tl.states.append(sched.state())
-            self._b = b + 1
-            self.jams = jam_prefix[-1]
-            self.denied = denied_prefix[-1]
-            return segments, jam_prefix, denied_prefix
-
-    def _run_live(
-        self, wants
-    ) -> tuple[list[tuple[int, int, bool]], list[int], list[int]]:
-        grants, jam_prefix, denied_prefix = self._live.run(wants)
-        self.jams = jam_prefix[-1]
-        self.denied = denied_prefix[-1]
-        return _segment_grants(grants), jam_prefix, denied_prefix
+    grants = []
+    jam_prefix = []
+    denied_prefix = []
+    for want in wants.tolist():
+        grants.append(budget.grant(want))
+        jam_prefix.append(budget.jams_granted)
+        denied_prefix.append(budget.denied_requests)
+    return _segment_grants(grants), jam_prefix, denied_prefix
 
 
 def _apply_lesk_outcomes(
@@ -644,7 +447,6 @@ def simulate_uniform_megakernel(
     halt_on_single: bool = True,
     faults=None,
     auditor=None,
-    block_size: int = DEFAULT_BLOCK_SLOTS,
 ) -> BatchRunResult:
     """Run *reps* replications through the slot-blocked fused fast path.
 
@@ -660,8 +462,6 @@ def simulate_uniform_megakernel(
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
     if max_slots < 1:
         raise ConfigurationError(f"max_slots must be >= 1, got {max_slots}")
-    if block_size < 1:
-        raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
 
     policy = policy_factory(reps)
     if policy.reps != reps:
@@ -694,7 +494,7 @@ def simulate_uniform_megakernel(
     rng = make_rng(root_seed)
     adversary.reset(seed=rng.spawn(1)[0])
     strategy = adversary.strategy
-    schedule = _schedule_cursor(adversary.T, adversary.eps, block_size)
+    budget = JammingBudget(adversary.T, adversary.eps)
     ladder = _LADDERS[type(policy)](policy)
 
     tel = get_telemetry()
@@ -748,14 +548,14 @@ def simulate_uniform_megakernel(
     election_events: list[tuple] = []
     slot = 0
     while slot < max_slots and width:
-        K = min(block_size, max_slots - slot)
+        K = min(_BLOCK_SLOTS, max_slots - slot)
         wants = strategy.want_schedule(slot, K)
         if wants is None:  # pragma: no cover - eligibility probed slot 0
             raise ConfigurationError(
                 f"strategy {adversary.strategy_name!r} stopped providing a "
                 f"want schedule at slot {slot}"
             )
-        segments, jam_prefix, denied_prefix = schedule.next_block(wants)
+        segments, jam_prefix, denied_prefix = _grant_block(budget, wants)
         for i, j, has_free in segments:
             # One fused group: a maximal run of granted slots plus at most
             # one trailing free slot, all with exponents known up front.
@@ -850,8 +650,8 @@ def simulate_uniform_megakernel(
     # Survivors: snapshot the shared budget counters and the running
     # transmission totals (fault-free: listening = n * slots - tx).
     transmissions[orig] = k_cum
-    jams[orig] = schedule.jams
-    jam_denied[orig] = schedule.denied
+    jams[orig] = budget.jams_granted
+    jam_denied[orig] = budget.denied_requests
     listening = slots * n
     listening -= transmissions
     policy_completed = np.zeros(reps, dtype=bool)

@@ -8,6 +8,9 @@ live in tests/integration/test_paper_claims.py against the same presets.
 
 from __future__ import annotations
 
+import importlib
+import inspect
+
 import pytest
 
 from repro.experiments.harness import Table
@@ -25,6 +28,14 @@ def test_experiment_runs_and_produces_table(exp_id):
     assert exp_id in text
     csv = table.to_csv()
     assert len(csv.splitlines()) == len(table.rows) + 1
+
+
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENT_MODULES))
+def test_entry_point_is_run_preset_seed(exp_id):
+    # Engines are chosen per cell, not per experiment: no entry point
+    # grows engine switches.
+    run = importlib.import_module(EXPERIMENT_MODULES[exp_id]).run
+    assert list(inspect.signature(run).parameters) == ["preset", "seed"]
 
 
 def test_run_all_cli_subset(tmp_path, capsys):

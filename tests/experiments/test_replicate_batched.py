@@ -1,7 +1,7 @@
 """replicate_batched: harness wiring of the batched engine.
 
-Checks seed-stability, summary-dict compatibility with the scalar
-``replicate`` path, and the experiment-level preset switch.
+Checks seed-stability and summary-dict compatibility with the scalar
+``replicate`` path.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ from repro.adversary.vector import make_batched_adversary
 from repro.core.election import elect_leader
 from repro.errors import ConfigurationError
 from repro.experiments.cells import lesk_cell
-from repro.experiments.harness import (
-    batched_enabled,
-    replicate,
-    replicate_batched,
-    summarize_times,
-)
+from repro.experiments.harness import replicate, replicate_batched, summarize_times
 from repro.protocols.vector import VectorLESKPolicy
 
 N = 64
@@ -85,12 +80,6 @@ def test_lesk_cell_engines_agree_in_law():
     assert np.median([r.slots for r in batched]) == pytest.approx(
         np.median([r.slots for r in scalar]), rel=0.3
     )
-
-
-def test_batched_enabled_defaults():
-    assert batched_enabled("small") is True
-    assert batched_enabled("full") is True
-    assert batched_enabled("unknown-preset") is False
 
 
 def test_bad_reps():
