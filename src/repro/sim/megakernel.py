@@ -22,13 +22,13 @@ actually *conditions* on per-slot randomness:
 Block layout
 ------------
 Slots are processed in blocks of ``_BLOCK_SLOTS``.  Each block's want
-flags come from one ``want_schedule`` call, its grants and jam/denied
-prefix counts from the run's ``JammingBudget`` slot by slot
-(:func:`_grant_block`), and its slots are then split into *groups*:
-maximal runs of granted slots plus at most one trailing free slot.  Each
-group is one fused RNG call; free-slot outcomes (the only conditioning
-points) are applied between groups.  Winners are compacted out
-immediately, so draws stay at the active width.
+flags come from one ``want_schedule`` call, and the run's
+``JammingBudget`` decides them slot by slot, splitting the block into
+*groups* (:func:`_grant_block`): maximal runs of granted slots plus at
+most one trailing free slot.  Each group is one fused RNG call; free-slot
+outcomes (the only conditioning points) are applied between groups.
+Winners are compacted out immediately, so draws stay at the active
+width.
 
 RNG-stream contract
 -------------------
@@ -117,42 +117,29 @@ def _record_fallback(reason: str) -> None:
         )
 
 
-def _segment_grants(grants: list[bool]) -> list[tuple[int, int, bool]]:
-    """Split one block's grant decisions into fused groups.
-
-    Each segment ``(i, j, has_free)`` is a maximal run of granted slots
-    ``[i, j)`` plus, when ``has_free``, one trailing free slot at ``j``.
-    """
-    segments = []
-    K = len(grants)
-    i = 0
-    while i < K:
-        j = i
-        while j < K and grants[j]:
-            j += 1
-        segments.append((i, j, j < K))
-        i = j + 1
-    return segments
-
-
 def _grant_block(
     budget: JammingBudget, wants
-) -> tuple[list[tuple[int, int, bool]], list[int], list[int]]:
+) -> list[tuple[int, int, bool, int | None, int | None]]:
     """Decide one block of slots on the run's shared budget.
 
     A deterministic want sequence puts every column's budget in the same
     state, so one scalar :class:`JammingBudget` decides for all of them.
-    Returns the block's fused groups and its per-slot jam / denied prefix
-    counts, each taken *after* that slot's decision.
+    Returns the block's fused groups ``(i, j, has_free, jams, denied)``:
+    a maximal run of granted slots ``[i, j)`` plus, when ``has_free``, one
+    trailing free slot at ``j`` -- with the budget's granted and denied
+    counts after slot ``j``, which a column elected there reports.
     """
-    grants = []
-    jam_prefix = []
-    denied_prefix = []
-    for want in wants.tolist():
-        grants.append(budget.grant(want))
-        jam_prefix.append(budget.jams_granted)
-        denied_prefix.append(budget.denied_requests)
-    return _segment_grants(grants), jam_prefix, denied_prefix
+    groups = []
+    i = 0
+    for j, want in enumerate(wants.tolist()):
+        if not budget.grant(want):
+            groups.append(
+                (i, j, True, budget.jams_granted, budget.denied_requests)
+            )
+            i = j + 1
+    if i < len(wants):
+        groups.append((i, len(wants), False, None, None))
+    return groups
 
 
 def _apply_lesk_outcomes(
@@ -555,8 +542,7 @@ def simulate_uniform_megakernel(
                 f"strategy {adversary.strategy_name!r} stopped providing a "
                 f"want schedule at slot {slot}"
             )
-        segments, jam_prefix, denied_prefix = _grant_block(budget, wants)
-        for i, j, has_free in segments:
+        for i, j, has_free, jams_at, denied_at in _grant_block(budget, wants):
             # One fused group: a maximal run of granted slots plus at most
             # one trailing free slot, all with exponents known up front.
             p_rows = ladder.prepare_group(j - i, has_free, width)
@@ -595,7 +581,7 @@ def simulate_uniform_megakernel(
                 won = pair[0]
                 leaders[won] = rng.integers(n, size=n_won)
                 election_events.append(
-                    (slot + j, won, pair[1], jam_prefix[j], denied_prefix[j])
+                    (slot + j, won, pair[1], jams_at, denied_at)
                 )
                 if rec is not None:
                     active_full[won] = False
