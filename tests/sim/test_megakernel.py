@@ -9,9 +9,15 @@ The engine's two structural contracts are tested here:
   fields.
 * **Bit-identity with the batched stream** -- the megakernel is the
   maximal-compaction limit of the batched engine's stream: the batched
-  engine must produce the same arrays bit for bit, across all three
+  engine must produce the same arrays bit for bit, across all four
   fast-path policies and every schedulable strategy, including columns
-  that time out (their jam counters come from the run's budget).
+  that time out (their jam counters come from the run's budget) and
+  Estimation columns that complete at a round end, with runs cut inside
+  the rounds whose probability is exactly 0.0.
+
+Telemetry parity: the same cell records the same slot, class, jam,
+election and timeout counters on both engines, including the slots the
+megakernel decides without drawing.
 
 Statistical cross-validation against the scalar engines lives in
 ``tests/sim/test_conformance.py``.
@@ -25,6 +31,7 @@ import pytest
 from repro import telemetry
 from repro.adversary.vector import make_batched_adversary
 from repro.protocols.vector import (
+    VectorEstimationPolicy,
     VectorLESKPolicy,
     VectorNoCDSweepPolicy,
     VectorSweepPolicy,
@@ -51,26 +58,31 @@ RESULT_FIELDS = (
     "listening",
     "policy_completed",
     "timed_out",
+    "policy_results",
 )
 
 POLICIES = {
     "lesk": lambda reps: VectorLESKPolicy(EPS, reps),
     "sweep": lambda reps: VectorSweepPolicy(reps),
     "nocd-sweep": lambda reps: VectorNoCDSweepPolicy(reps),
+    "estimation": lambda reps: VectorEstimationPolicy(reps, L=2),
 }
 
 SCHEDULABLE = ("none", "saturating", "periodic-front", "burst")
 
 
-def _mega(policy, strategy, *, reps=24, max_slots=4000, seed=33, block=None):
+def _mega(policy, strategy, *, reps=24, max_slots=4000, seed=33, block=None,
+          n=N, window=T):
     default = megakernel._BLOCK_SLOTS
     if block is not None:
         megakernel._BLOCK_SLOTS = block
     try:
         return simulate_uniform_megakernel(
             POLICIES[policy],
-            N,
-            lambda r: make_batched_adversary(strategy, T=T, eps=EPS, reps=r),
+            n,
+            lambda r: make_batched_adversary(
+                strategy, T=window, eps=EPS, reps=r
+            ),
             reps=reps,
             max_slots=max_slots,
             root_seed=seed,
@@ -79,11 +91,12 @@ def _mega(policy, strategy, *, reps=24, max_slots=4000, seed=33, block=None):
         megakernel._BLOCK_SLOTS = default
 
 
-def _batched(policy, strategy, *, reps=24, max_slots=4000, seed=33, **kw):
+def _batched(policy, strategy, *, reps=24, max_slots=4000, seed=33, n=N,
+             window=T, **kw):
     return simulate_uniform_batched(
         POLICIES[policy],
-        N,
-        lambda r: make_batched_adversary(strategy, T=T, eps=EPS, reps=r),
+        n,
+        lambda r: make_batched_adversary(strategy, T=window, eps=EPS, reps=r),
         reps=reps,
         max_slots=max_slots,
         root_seed=seed,
@@ -124,16 +137,38 @@ class TestBitIdentityWithPackedBatched:
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("strategy", SCHEDULABLE)
     def test_matches_packed_stream(self, policy, strategy):
-        # max_slots=40 leaves columns timed out: they take jams/jam_denied
+        # The short cut leaves columns timed out: they take jams/jam_denied
         # from the run's budget rather than from an election event, and
-        # must match the batched engine's per-column counters.
-        for max_slots in (4000, 40):
+        # must match the batched engine's per-column counters.  Estimation
+        # finishes by slot 14 here, so its cut sits inside round 3.
+        short = 10 if policy == "estimation" else 40
+        for max_slots in (4000, short):
             ref = _batched(policy, strategy, max_slots=max_slots)
             got = _mega(policy, strategy, max_slots=max_slots)
             assert_results_equal(
                 ref, got, f"{policy}/{strategy} max_slots={max_slots}"
             )
-        assert ref.timed_out.any(), "max_slots=40 left no column running"
+        assert ref.timed_out.any(), f"max_slots={short} left no column running"
+
+    @pytest.mark.parametrize(
+        "max_slots",
+        # Round 11 (p = 0 from slot 2046 on) opens inside the budget's
+        # 8192-slot jam run; 9000 falls in the free run of round 13, whose
+        # last slot is 16381.  Unbounded runs complete at that round end.
+        [2047, 3000, 8191, 9000, 16381, 20000],
+    )
+    def test_estimation_certain_rounds(self, max_slots):
+        kw = dict(reps=24, max_slots=max_slots, seed=5, n=1024, window=16384)
+        ref = _batched("estimation", "saturating", **kw)
+        got = _mega("estimation", "saturating", **kw)
+        assert_results_equal(ref, got, f"max_slots={max_slots}")
+        small = _mega("estimation", "saturating", block=7, **kw)
+        assert_results_equal(got, small, f"max_slots={max_slots} K=7")
+        if max_slots > 16381:
+            assert got.policy_completed.all()
+            assert (got.policy_results == 13).all()
+        else:
+            assert got.timed_out.all()
 
     def test_matches_across_root_seeds(self):
         for seed in range(8):
@@ -154,6 +189,17 @@ class TestFixedSeedPins:
         assert r.jams.tolist() == [32, 41, 30, 32, 40, 31, 32, 31, 34, 34, 31, 31]
         assert r.transmissions.tolist() == [
             1469, 1474, 1422, 1433, 1509, 1393, 1433, 1432, 1427, 1439, 1411, 1406
+        ]
+
+    def test_estimation_saturating_pin(self):
+        r = _mega("estimation", "saturating", reps=12, seed=7)
+        assert r.slots.tolist() == [14, 11, 10, 14, 9, 10, 12, 14, 9, 10, 14, 13]
+        assert r.policy_results.tolist() == [
+            3, -1, -1, 3, -1, -1, -1, 3, -1, -1, -1, -1
+        ]
+        assert r.jams.tolist() == [8] * 12
+        assert r.transmissions.tolist() == [
+            45, 51, 54, 47, 54, 57, 40, 57, 52, 43, 52, 38
         ]
 
     def test_sweep_burst_pin(self):
@@ -195,8 +241,52 @@ class TestFallback:
             "single-suppressor", T=T, eps=EPS, reps=4
         )
         assert megakernel_eligibility(policy, oblivious) is None
+        estimation = VectorEstimationPolicy(4, L=2)
+        assert megakernel_eligibility(estimation, oblivious) is None
         assert megakernel_eligibility(policy, adaptive) is not None
         assert (
             megakernel_eligibility(policy, oblivious, halt_on_single=False)
             is not None
         )
+
+
+class TestTelemetryParity:
+    """Both engines record the same counters for the same cell; only the
+    ``engine`` label differs.  The Estimation cell reaches the rounds the
+    megakernel decides without drawing, and completes its columns."""
+
+    @staticmethod
+    def _counters(run) -> dict:
+        with telemetry.collecting() as tel:
+            run()
+        return {
+            (c.name, tuple(kv for kv in c.labels if kv[0] != "engine")): c.value
+            for c in tel.metrics.counters()
+            if c.name in PARITY_COUNTERS
+        }
+
+    @pytest.mark.parametrize(
+        "policy, kw",
+        [
+            ("estimation", dict(reps=16, n=1024, window=4096, max_slots=6000)),
+            ("lesk", dict(reps=16, max_slots=4000)),
+        ],
+    )
+    def test_counters_match_batched(self, policy, kw):
+        ref = self._counters(lambda: _batched(policy, "saturating", **kw))
+        got = self._counters(lambda: _mega(policy, "saturating", **kw))
+        assert got == ref
+        assert ("engine_slots_total", ()) in got
+        if policy == "estimation":
+            assert ("timeouts_total", ()) not in got
+
+
+PARITY_COUNTERS = {
+    "engine_slots_total",
+    "slot_class_total",
+    "jam_slots_total",
+    "jam_occupied_total",
+    "jam_denied_total",
+    "elections_total",
+    "timeouts_total",
+}
