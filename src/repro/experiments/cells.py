@@ -5,10 +5,10 @@ protocol(n, eps, T) against a named adversary".  This module picks the
 fastest engine that can run each cell:
 
 * the slot-blocked megakernel (:mod:`repro.sim.megakernel`) when the cell
-  asks for it (``megakernel=True``; experiments T1, T2 and F2 do):
-  oblivious (schedulable) adversaries run the fused fast path,
-  everything else delegates to the batched engine byte-identically
-  inside the engine;
+  asks for it (``megakernel=True``; experiments T1, T2, T4 and F2 do):
+  LESK, sweep, no-CD sweep and Estimation cells under oblivious
+  (schedulable) adversaries run the fused fast path, everything else
+  delegates to the batched engine byte-identically inside the engine;
 * the batched cross-replication engine (:mod:`repro.sim.batched`) by
   default (``batched=True``) when the adversary has a vectorized
   implementation -- which since the adaptive family gained
@@ -242,10 +242,11 @@ def estimation_cell(
 ) -> list:
     """Replicated standalone ``Estimation(2)`` runs (halt on Single).
 
-    Results carry ``policy_result`` (the returned round index) on both
-    engine paths; ``max_slots=None`` selects the T4 cap.  Estimation has
-    no megakernel ladder, so ``megakernel=True`` delegates back to the
-    batched engine inside the engine.
+    Results carry ``policy_result`` (the returned round index) on every
+    engine path; ``max_slots=None`` selects the T4 cap.  With
+    ``megakernel=True``, oblivious adversaries run the megakernel's
+    Estimation ladder, which decides the rounds whose probability is
+    exactly 0.0 without drawing them.
     """
     budget = max_slots if max_slots is not None else estimation_slot_budget(n, T)
     if _use_batched(batched, adversary):
