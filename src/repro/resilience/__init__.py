@@ -11,11 +11,9 @@ Two halves (see ``docs/resilience.md``):
   :class:`~repro.errors.InvariantViolationError` with a replayable
   :class:`ReproBundle`.
 
-:mod:`repro.resilience.differential` (imported explicitly; it pulls in the
-protocol stack) runs scalar / fast / batched semantics in lockstep on
-shared randomness and binary-searches the first diverging slot;
 :mod:`repro.resilience.replay` re-executes saved bundles
-(``python -m repro replay``).
+(``python -m repro replay``).  Scalar and vector semantics are checked in
+lockstep by the conformance registry, ``tests/sim/test_conformance.py``.
 """
 
 from repro.resilience.auditor import (

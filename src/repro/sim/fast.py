@@ -6,8 +6,8 @@ number of transmitters ``k``, distributed ``Binomial(n, p)``.  Sampling
 ``k`` directly makes the per-slot cost O(1), independent of ``n`` -- this
 is the standard algorithmic optimization for simulating uniform radio
 protocols, and it is *exact*: the distribution of the observed state
-sequence is identical to the per-station simulation (cross-validated in
-``tests/sim/test_cross_validation.py``).
+sequence is identical to the per-station simulation (cross-validated by
+the faithful rows of ``tests/sim/test_conformance.py``).
 
 Semantics are strong-CD / selection-resolution: the run ends at the first
 successful (non-jammed) ``Single``; the transmitting station -- by

@@ -29,9 +29,9 @@ per slot (station order), then the engine stream serves nothing else --
 leaders are read off the transmit matrix.  The *bitstream* therefore
 differs from the scalar faithful engine (which spawns per-station
 streams and draws lazily); the *law* is identical, which is what the
-differential lockstep stack, the fixed-seed pins in
-``tests/sim/test_vectorized.py`` and the KS cross-validation in
-``tests/sim/test_conformance.py`` verify.  See ``docs/engines.md``.
+fixed-seed pins in ``tests/sim/test_vectorized.py`` and the KS
+cross-validation in ``tests/sim/test_conformance.py`` verify.  See
+``docs/engines.md``.
 """
 
 from __future__ import annotations

@@ -4,11 +4,11 @@
 transmit decisions, per-cell protocol state, CD-filtered feedback, the
 actual transmitting cell as winner -- in ``(reps, n)`` NumPy lockstep.
 Its bitstream differs from :func:`repro.sim.engine.simulate_stations`
-(vectorized draw layout), so fidelity is checked three ways: fixed-seed
-pins (regression), KS cross-validation of election-time samples against
-the scalar engines (law, in ``tests/sim/test_conformance.py``), and the
-lockstep differential harness in ``tests/resilience/test_differential.py``
-(per-slot semantics).
+(vectorized draw layout), so fidelity is checked by fixed-seed pins
+(regression), the CD-semantics and fault tests here, and KS
+cross-validation of election-time samples against the scalar engines
+(law, in ``tests/sim/test_conformance.py``, whose lockstep contract also
+checks the vector policies it runs slot by slot against the scalar ones).
 """
 
 from __future__ import annotations
