@@ -66,6 +66,8 @@ __all__ = [
 
 
 def _check_rate(name: str, rate: float) -> float:
+    if isinstance(rate, bool):
+        raise ConfigurationError(f"{name} must be a number, got {rate!r}")
     if not (0.0 <= rate <= 1.0):
         raise ConfigurationError(f"{name} must be in [0, 1], got {rate!r}")
     return float(rate)
@@ -86,7 +88,8 @@ class FaultModel:
     All fields default to "no fault"; :attr:`enabled` is False for the
     default instance, and every engine skips its fault path entirely in
     that case (the no-fault hot path is bit-identical to a build without
-    this subsystem).
+    this subsystem).  Rates are stored as floats, so ``0`` and ``0.0``
+    give equal models with equal JSON.
     """
 
     # -- station churn -----------------------------------------------------
@@ -133,13 +136,14 @@ class FaultModel:
                 )
         object.__setattr__(self, "sleep_spans", spans)
         for name in ("crash_rate", "flip_rate", "erase_rate", "skew_rate"):
-            _check_rate(name, getattr(self, name))
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any fault is configured at all."""
-        return any(getattr(self, f.name) != f.default for f in fields(self)
-                   if f.name not in ("crash_slots",)) or bool(self.crash_slots)
+            object.__setattr__(self, name, _check_rate(name, getattr(self, name)))
+        # Whether any fault is configured at all.  Computed once; not a
+        # field, so equality, JSON and digests ignore it.
+        object.__setattr__(
+            self,
+            "enabled",
+            any(getattr(self, f.name) != f.default for f in fields(self)),
+        )
 
     @property
     def has_churn(self) -> bool:

@@ -23,6 +23,7 @@ from repro.channel.feedback import feedback_for
 from repro.channel.trace import ChannelTrace
 from repro.errors import ConfigurationError
 from repro.protocols.base import StationProtocol
+from repro.resilience.faults import FaultModel
 from repro.rng import RngLike, make_rng, spawn_many
 from repro.sim.instrumentation import EngineRecorder
 from repro.sim.metrics import EnergyStats, RunResult
@@ -43,8 +44,6 @@ def _realize_faults(faults, n: int, max_slots: int, spawn_from):
     """
     if faults is None:
         return None
-    from repro.resilience.faults import FaultModel
-
     if isinstance(faults, FaultModel):
         if not faults.enabled:
             return None

@@ -98,6 +98,11 @@ class TestValidationErrors:
         assert f"{path}:" in message
         assert fragment in message
 
+    def test_bool_fault_rate_rejected(self):
+        with pytest.raises(ConfigurationError) as err:
+            scenario_from_jsonable(doc(faults={"flip_rate": True}), source="<test>")
+        assert "faults: flip_rate must be a number, got True" in str(err.value)
+
     def test_all_errors_reported_at_once(self):
         bad = doc(
             schema=9,
@@ -157,6 +162,17 @@ class TestCanonicalDigest:
         )
         listed = scenario_from_jsonable(doc())
         assert scenario_digest(scalar) == scenario_digest(listed)
+
+    def test_integer_and_omitted_fault_rates_share_a_digest(self):
+        digests = {
+            scenario_digest(scenario_from_jsonable(doc(faults=faults)))
+            for faults in (
+                {"flip_rate": 0.5, "crash_rate": 0},
+                {"flip_rate": 0.5, "crash_rate": 0.0},
+                {"flip_rate": 0.5},
+            )
+        }
+        assert len(digests) == 1
 
     def test_telemetry_and_limits_excluded_from_digest(self):
         plain = scenario_from_jsonable(doc())
