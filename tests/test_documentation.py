@@ -2,7 +2,8 @@
 
 The reproduction promises doc comments on every public item; this test
 walks the package and asserts every module, public class and public
-function carries a non-trivial docstring.
+function carries a non-trivial docstring.  The prose docs are held to the
+tree too: every repository path they name in backquotes must exist.
 """
 
 from __future__ import annotations
@@ -10,10 +11,14 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def iter_modules():
@@ -60,11 +65,32 @@ def test_public_items_documented(module):
 
 
 def test_design_doc_mentions_every_experiment():
-    from pathlib import Path
-
     from repro.experiments.run_all import EXPERIMENT_MODULES
 
-    design = Path(__file__).resolve().parents[1] / "DESIGN.md"
-    text = design.read_text()
+    text = (ROOT / "DESIGN.md").read_text()
     missing = [e for e in EXPERIMENT_MODULES if f"**{e}**" not in text]
     assert not missing, f"DESIGN.md lacks experiment index rows for {missing}"
+
+
+#: The prose docs.  CHANGES.md and ROADMAP.md are history, and e2ebench/
+#: documents itself.
+PROSE_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+    f"docs/{path.name}" for path in (ROOT / "docs").glob("*.md")
+)
+_SPAN = re.compile(r"`([^`\n]+)`")
+_PATH = re.compile(
+    r"(?:^|(?<=[\s=]))((?:src|tests|benchmarks|docs|examples|results)/[^\s:`'\"]*)"
+)
+#: Written by ``run_all --telemetry``; not committed.
+_RUN_OUTPUTS = {"results/telemetry/"}
+
+
+@pytest.mark.parametrize("doc", PROSE_DOCS)
+def test_documented_paths_exist(doc):
+    named = {
+        path
+        for span in _SPAN.findall((ROOT / doc).read_text())
+        for path in _PATH.findall(span)
+    }
+    stale = sorted(p for p in named - _RUN_OUTPUTS if not (ROOT / p).exists())
+    assert not stale, f"{doc} names paths that do not exist: {stale}"
