@@ -23,8 +23,10 @@ whether ``t+1-s >= T`` gives two O(1)-per-slot checks:
 * **(A) padded windows** (``s > t+1-T``): the count of jams in the trailing
   ``min(T, t+1)`` slots, including the requested one, must not exceed
   ``(1-eps) * T``.  Since ``J`` is non-decreasing the tightest start is the
-  earliest one, so a single comparison with ``J[max(0, t+2-T)]`` suffices
-  (maintained with a rolling buffer of the last ``T`` prefix counts).
+  earliest one, ``max(0, t+1-T)``.  Once ``t+1 >= T`` that window
+  ``[t+1-T, t+1)`` is a full window, checked by (B), so (A) only binds
+  while ``t+1 < T``; its start is then slot 0 and ``J[0] = 0``, so it
+  reads ``J[t+1] <= (1-eps) * T``.
 * **(B) full windows** (``s <= t+1-T``): with the potential
   ``phi[s] = J[s] - (1-eps) * s`` the constraint reads
   ``phi[t+1] <= min_{s <= t+1-T} phi[s]``; the right-hand side is a lagged
@@ -78,9 +80,6 @@ class JammingBudget:
         self._slot = 0  # next slot to be decided
         self._jams = 0  # J[slot]: jams granted so far
         self._denied = 0  # requests clamped (non-strict mode)
-        # Rolling buffer of prefix counts J[s] for s in [slot-T+1, slot]
-        # (most recent last).  Seeded with J[0] = 0.
-        self._recent_prefix: deque[int] = deque([0], maxlen=self.T)
         # Lagged minimum of phi[s] = J[s] - rate*s over s <= slot - T + 1
         # ... maintained so that when deciding slot t it covers s <= t+1-T.
         self._min_phi_lagged = math.inf
@@ -133,17 +132,12 @@ class JammingBudget:
         """Check conditions (A) and (B) for deciding the current slot."""
         t = self._slot
         new_prefix = self._jams + (1 if jam else 0)  # J[t+1]
-        # (A) padded trailing window: jams among the last min(T, t+1) slots.
-        # self._recent_prefix[0] == J[max(0, t+1-(T-1))] == J[max(0, t+2-T)].
-        oldest = self._recent_prefix[0]
-        if new_prefix - oldest > self._rate * self.T + 1e-12:
-            return False
+        if t + 1 < self.T:
+            # (A) the padded window [0, t+1); no full window has ended.
+            return new_prefix <= self._rate * self.T + 1e-12
         # (B) all full windows ending at t+1.
         phi_new = new_prefix - self._rate * (t + 1)
-        min_phi = self._lagged_min_for_end(t + 1)
-        if phi_new > min_phi + 1e-12:
-            return False
-        return True
+        return phi_new <= self._lagged_min_for_end(t + 1) + 1e-12
 
     def _lagged_min_for_end(self, end: int) -> float:
         """min over s <= end - T of phi[s]; +inf when no full window exists."""
@@ -165,7 +159,6 @@ class JammingBudget:
     def _advance(self, granted: bool) -> None:
         self._jams += 1 if granted else 0
         self._slot += 1
-        self._recent_prefix.append(self._jams)  # J[slot]
         self._pending_phi.append(self._jams - self._rate * self._slot)  # phi[slot]
 
     # -- introspection -------------------------------------------------------
@@ -190,7 +183,6 @@ class JammingBudget:
         clone._slot = self._slot
         clone._jams = self._jams
         clone._denied = self._denied
-        clone._recent_prefix = deque(self._recent_prefix, maxlen=self.T)
         clone._min_phi_lagged = self._min_phi_lagged
         clone._pending_phi = deque(self._pending_phi)
         clone._folded = self._folded
@@ -210,8 +202,8 @@ class JammingBudgetArray:
     lockstep (the batched engine decides one global slot for every
     replication per :meth:`grant` call), but each column tracks its own jam
     history.  The enforcement rule is the same (A)/(B) pair of O(1) checks
-    as the scalar class -- the rolling prefix buffer and the lagged-min
-    ``phi`` recursion -- applied elementwise to ``(reps,)`` arrays, so a
+    as the scalar class -- the prefix count and the lagged-min ``phi``
+    recursion -- applied elementwise to ``(reps,)`` arrays, so a
     column's decisions are *identical* to a scalar :class:`JammingBudget`
     fed the same want-sequence (asserted exhaustively in
     ``tests/adversary/test_budget_array.py``).
@@ -232,10 +224,6 @@ class JammingBudgetArray:
         self._slot = 0
         self._jams = np.zeros(self.reps, dtype=np.int64)
         self._denied = np.zeros(self.reps, dtype=np.int64)
-        # Rolling buffer of prefix-count columns J[s], s in [slot-T+1, slot].
-        self._recent_prefix: deque[np.ndarray] = deque(
-            [np.zeros(self.reps, dtype=np.int64)], maxlen=self.T
-        )
         self._min_phi_lagged = np.full(self.reps, math.inf)
         self._pending_phi: deque[np.ndarray] = deque(
             [np.zeros(self.reps, dtype=np.float64)]
@@ -285,13 +273,10 @@ class JammingBudgetArray:
                 f"(T={self.T}, 1-eps={self._rate:.4g}) budget"
             )
         self._denied += refused
-        # Rebind instead of updating in place: the fresh array doubles as
-        # the buffered prefix column, saving the defensive copy.
-        jams = self._jams + granted
-        self._jams = jams
+        # Rebind: an array handed out by jams_granted stays a snapshot.
+        self._jams = self._jams + granted
         self._slot += 1
-        self._recent_prefix.append(jams)
-        self._pending_phi.append(jams - self._rate * self._slot)
+        self._pending_phi.append(self._jams - self._rate * self._slot)
         return granted
 
     def compact(self, keep: np.ndarray) -> None:
@@ -299,16 +284,13 @@ class JammingBudgetArray:
 
         The surviving columns' decision streams are unchanged: conditions
         (A) and (B) are elementwise, so slicing every per-column array --
-        including the buffered prefix counts and the pending/lagged ``phi``
-        state -- preserves each kept column's grant sequence exactly.
+        including the pending/lagged ``phi`` state -- preserves each kept
+        column's grant sequence exactly.
         """
         keep = np.asarray(keep, dtype=np.int64)
         self.reps = int(keep.size)
         self._jams = self._jams[keep]
         self._denied = self._denied[keep]
-        self._recent_prefix = deque(
-            (col[keep] for col in self._recent_prefix), maxlen=self.T
-        )
         self._min_phi_lagged = self._min_phi_lagged[keep]
         self._pending_phi = deque(col[keep] for col in self._pending_phi)
 
@@ -318,12 +300,12 @@ class JammingBudgetArray:
         """Elementwise conditions (A) and (B) for jamming the current slot."""
         t = self._slot
         new_prefix = self._jams + 1  # J[t+1] if the jam were granted
-        # (A) padded trailing window.
-        ok = (new_prefix - self._recent_prefix[0]) <= self._rate * self.T + 1e-12
+        if t + 1 < self.T:
+            # (A) the padded window [0, t+1); no full window has ended.
+            return new_prefix <= self._rate * self.T + 1e-12
         # (B) all full windows ending at t+1.
         phi_new = new_prefix - self._rate * (t + 1)
-        ok &= phi_new <= self._lagged_min_for_end(t + 1) + 1e-12
-        return ok
+        return phi_new <= self._lagged_min_for_end(t + 1) + 1e-12
 
     def _lagged_min_for_end(self, end: int):
         """Columnwise min over s <= end - T of phi[s]; +inf with no full window."""

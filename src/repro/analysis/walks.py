@@ -16,6 +16,7 @@ zero) sits below ``log2 n``; Lemma 2.4's regular band contains it for all
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from repro.analysis.probabilities import p_collision, p_null, p_single
 from repro.errors import ConfigurationError
@@ -50,6 +51,7 @@ def expected_drift(u: float, n: int, a: float, jam_fraction: float = 0.0) -> flo
     return (1.0 - jam_fraction) * clear + jam_fraction / a
 
 
+@lru_cache(maxsize=1024)
 def equilibrium_u(
     n: int, a: float, jam_fraction: float = 0.0, tol: float = 1e-9
 ) -> float:
@@ -59,6 +61,10 @@ def equilibrium_u(
     for large ``u`` (silences dominate) as long as ``jam_fraction < 1``;
     the crossing is unique because ``P[Null]`` increases and
     ``P[Collision]`` decreases monotonically in ``u``.
+
+    Memoised: the result is a pure function of the arguments, and the
+    size estimator's bisection over ``log2 n`` asks for the same integer
+    ``n`` many times.
     """
     if jam_fraction >= 1.0:
         raise ConfigurationError("no equilibrium when every slot is jammed")

@@ -1,21 +1,40 @@
 """T6 -- Lemma 3.1 / Theorems 3.2-3.3: weak-CD election via Notification.
 
-Runs LEWK (= Notification(LESK)) on the faithful per-station engine and
-compares against plain LESK in strong-CD.  Checks, per configuration:
+Runs LEWK (= Notification(LESK)) per station, on the vectorized faithful
+engine with :class:`~repro.protocols.vector.VectorNotificationPolicy`, and
+compares against plain LESK in strong-CD on the scalar fast engine.
+Checks, per configuration:
 
 * **correctness**: every station terminates and *exactly one* holds
   ``leader = true`` (reported as a rate over repetitions; must be 1.0);
 * **overhead**: the ratio of the weak-CD completion time to the strong-CD
   first-Single time stays bounded by a constant (Lemma 3.1's factor is 8
   asymptotically; small n pay extra for interval alignment).
+
+Both rates are measured: the engine reads each replication's leader
+count and all-done flag off the stations' own Notification state.  The
+per-station law is checked against the scalar faithful engine
+(:func:`repro.sim.engine.simulate_stations`) in
+``tests/sim/test_conformance.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.adversary.vector import make_batched_adversary
+from repro.core.config import default_slot_budget
 from repro.core.election import elect_leader
-from repro.experiments.harness import Column, Table, preset_value, replicate, summarize_times
+from repro.experiments.harness import (
+    Column,
+    Table,
+    preset_value,
+    replicate,
+    replicate_vectorized,
+    summarize_times,
+)
+from repro.protocols.vector import VectorLESKPolicy, VectorNotificationPolicy
+from repro.types import CDMode
 
 EXPERIMENT = "T6"
 
@@ -47,16 +66,20 @@ def run(preset: str = "small", seed: int = 2020) -> Table:
     )
     for ai, adversary in enumerate(adversaries):
         for ni, n in enumerate(ns):
-            weak = replicate(
-                lambda s: elect_leader(
-                    n=n, protocol="lewk", eps=eps, T=T, adversary=adversary, seed=s
+            weak = replicate_vectorized(
+                lambda width: VectorNotificationPolicy(
+                    lambda w: VectorLESKPolicy(eps, w), width
                 ),
+                n,
+                lambda r: make_batched_adversary(adversary, T=T, eps=eps, reps=r),
                 reps,
                 seed,
                 6,
                 ai,
                 ni,
                 0,
+                max_slots=default_slot_budget(n, eps, T, "lewk"),
+                cd_mode=CDMode.WEAK,
             )
             strong = replicate(
                 lambda s: elect_leader(

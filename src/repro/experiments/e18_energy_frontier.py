@@ -16,6 +16,13 @@ confirmation schedule becomes a jamming target: success collapses while
 LESK is unbothered.  Energy efficiency and jamming robustness pull in
 opposite directions -- the measured version of why the paper's protocols
 never sleep.
+
+The quiet-channel LESK energy is per-station, so its cells run on the
+vectorized faithful engine (:func:`replicate_vectorized` with
+:class:`~repro.protocols.vector.VectorLESKPolicy`), which counts every
+station's transmissions and listening slots; the tournament columns run
+:func:`simulate_geometric_fast` and the jammed LESK column the scalar
+fast engine.
 """
 
 from __future__ import annotations
@@ -24,10 +31,20 @@ import numpy as np
 
 from repro.adversary.base import Adversary, as_strategy
 from repro.adversary.suite import make_adversary
+from repro.adversary.vector import make_batched_adversary
+from repro.core.config import default_slot_budget
 from repro.core.election import elect_leader
-from repro.experiments.harness import Column, Table, preset_value, replicate, summarize_times
+from repro.experiments.harness import (
+    Column,
+    Table,
+    preset_value,
+    replicate,
+    replicate_vectorized,
+    summarize_times,
+)
 from repro.protocols.baselines.geometric_energy import confirmation_slots
 from repro.protocols.baselines.geometric_fast import simulate_geometric_fast
+from repro.protocols.vector import VectorLESKPolicy
 
 EXPERIMENT = "A6"
 
@@ -69,16 +86,16 @@ def run(preset: str = "small", seed: int = 2032) -> Table:
         ],
     )
     for ni, n in enumerate(ns):
-        lesk_quiet = replicate(
-            lambda s: elect_leader(
-                n=n, protocol="lesk", eps=eps, T=T, adversary="none",
-                seed=s, engine="faithful",
-            ),
+        lesk_quiet = replicate_vectorized(
+            lambda width: VectorLESKPolicy(eps, width),
+            n,
+            lambda r: make_batched_adversary("none", T=T, eps=eps, reps=r),
             reps,
             seed,
             18,
             ni,
             0,
+            max_slots=default_slot_budget(n, eps, T),
         )
         geo_quiet = replicate(
             lambda s: _run_geometric(n, eps, T, "none", s, cap), reps, seed, 18, ni, 1

@@ -14,17 +14,33 @@ clamped as soon as ``2^i > (1-eps) T`` and succeeds.
 (The doubling also serves a second, quieter purpose: it grants ``A``
 ever-longer *uninterrupted* executions, needed since ``t(n)`` is unknown
 too.  ``L`` is chosen large enough here to isolate the jamming effect.)
+
+Each cell runs its replications per station on the vectorized faithful
+engine, with :class:`~repro.protocols.vector.VectorNotificationPolicy` on
+the partition in use and the C3 killer as a vector strategy.  The scalar
+:func:`_c3_killer` is the reference the conformance tests run on the
+faithful engine.
 """
 
 from __future__ import annotations
 
-from repro.adversary.base import Adversary, as_strategy
-from repro.adversary.suite import make_adversary
-from repro.experiments.harness import Column, Table, preset_value, replicate, summarize_times
+import numpy as np
+
+from repro.adversary.base import as_strategy
+from repro.adversary.vector import (
+    BatchedAdversary,
+    VectorJammingStrategy,
+    VectorNoJamming,
+)
+from repro.experiments.harness import (
+    Column,
+    Table,
+    preset_value,
+    replicate_vectorized,
+    summarize_times,
+)
 from repro.protocols.intervals import fixed_partition, interval_of_slot
-from repro.protocols.lesk import LESKPolicy
-from repro.protocols.notification import NotificationStation
-from repro.sim.engine import simulate_stations
+from repro.protocols.vector import VectorLESKPolicy, VectorNotificationPolicy
 from repro.types import CDMode
 
 EXPERIMENT = "A9"
@@ -40,21 +56,34 @@ def _c3_killer(partition) -> object:
     return as_strategy(wants, "c3-killer")
 
 
-def _run(n, eps, T, partition, jam: bool, seed: int, cap: int):
-    stations = [
-        NotificationStation(lambda: LESKPolicy(eps), partition=partition)
-        for _ in range(n)
-    ]
-    if jam:
-        adversary = Adversary(_c3_killer(partition), T=T, eps=eps, seed=seed)
-    else:
-        adversary = make_adversary("none", T=T, eps=eps)
-    return simulate_stations(
-        stations,
-        adversary=adversary,
-        cd_mode=CDMode.WEAK,
+class VectorC3Killer(VectorJammingStrategy):
+    """:func:`_c3_killer` for a batch: every replication requests a jam
+    exactly in the C_3 slots of *partition*."""
+
+    name = "c3-killer"
+    uses_protocol_u = False
+
+    def __init__(self, partition) -> None:
+        self.partition = partition
+
+    def wants_jam_batch(self, view, rng):
+        iv = self.partition(view.slot)
+        return np.full(view.reps, iv is not None and iv.j == 3)
+
+
+def _run(n, eps, T, partition, jam: bool, reps: int, seed: int, path, cap: int):
+    strategy = VectorC3Killer(partition) if jam else VectorNoJamming()
+    return replicate_vectorized(
+        lambda width: VectorNotificationPolicy(
+            lambda w: VectorLESKPolicy(eps, w), width, partition=partition
+        ),
+        n,
+        lambda r: BatchedAdversary(strategy, T=T, eps=eps, reps=r),
+        reps,
+        seed,
+        *path,
         max_slots=cap,
-        seed=seed,
+        cd_mode=CDMode.WEAK,
     )
 
 
@@ -85,14 +114,7 @@ def run(preset: str = "small", seed: int = 2035) -> Table:
     partitions = {"doubling (paper)": interval_of_slot, f"fixed L={L}": fixed_partition(L)}
     for pi, (pname, partition) in enumerate(partitions.items()):
         for ji, jam in enumerate([False, True]):
-            results = replicate(
-                lambda s: _run(n, eps, T, partition, jam, s, cap),
-                reps,
-                seed,
-                21,
-                pi,
-                ji,
-            )
+            results = _run(n, eps, T, partition, jam, reps, seed, (21, pi, ji), cap)
             stats = summarize_times(results)
             table.add_row(
                 partition=pname,

@@ -26,6 +26,7 @@ from repro.analysis.estimators import wilson_interval
 from repro.errors import ConfigurationError
 from repro.rng import derive_seed
 from repro.telemetry import ENERGY_BUCKETS, SLOT_BUCKETS, Telemetry, get_telemetry
+from repro.types import CDMode
 
 __all__ = [
     "Column",
@@ -292,6 +293,7 @@ def replicate_vectorized(
     faults=None,
     audit_T: int | None = None,
     audit_eps: float | None = None,
+    cd_mode: CDMode = CDMode.STRONG,
 ) -> list:
     """Faithful-model counterpart of :func:`replicate_batched`.
 
@@ -302,8 +304,15 @@ def replicate_vectorized(
     independently per replication, and passing ``audit_T``/``audit_eps``
     attaches a :class:`~repro.resilience.auditor.BatchInvariantAuditor`
     so every slot of every replication is budget/channel-audited.
-    Seeding is path-stable exactly like :func:`replicate_batched`; the
-    run-law matches the scalar faithful loop (KS-checked in
+
+    Tables use it for per-station quantities: A6's per-station energy
+    (strong CD, a first-``Single`` policy) and T6's and A9's weak-CD
+    Notification runs (*cd_mode* ``WEAK`` with a
+    :class:`~repro.protocols.vector.VectorNotificationPolicy`, which
+    resolves its own Singles, so a replication ends when every station
+    is done and its leader count is read off the stations).  Seeding is
+    path-stable exactly like :func:`replicate_batched`; the run-law
+    matches the scalar faithful loop (KS-checked in
     ``tests/sim/test_conformance.py``).
     """
     if reps < 1:
@@ -323,6 +332,7 @@ def replicate_vectorized(
         reps=reps,
         max_slots=max_slots,
         root_seed=derive_seed(root_seed, *path),
+        cd_mode=cd_mode,
         faults=faults,
         auditor=auditor,
     )

@@ -9,9 +9,19 @@ orders of magnitude faster than the per-station object engine, and
 distributionally identical (cross-validated in
 ``tests/protocols/baselines/test_ars_fast.py``).
 
-Semantics simulated: strong-CD leader election (the run ends at the first
-successful ``Single``; its transmitter is the leader), matching how
-experiment T7 compares against LESK.
+Semantics simulated, per ``halt_on_single``:
+
+* ``True`` (default): strong-CD leader election -- the run ends at the
+  first successful ``Single`` and its transmitter is the leader, matching
+  how experiments T7 and T9 compare against LESK;
+* ``False``: the plain MAC, run to ``max_slots`` -- a listener that hears
+  a ``Single`` applies [3]'s success update (``p_v <- p_v/(1+gamma)``,
+  ``T_v <- max(T_v-1, 1)``) and its transmitter only the counter logic,
+  as ``ARSMACStation(terminate_on_single=False)`` does.  Experiment A4
+  reads its throughput off the recorded trace.
+
+The adversary's probe is node 0's ``p_v``, like the faithful engine's
+``stations[0]`` probe.
 """
 
 from __future__ import annotations
@@ -38,11 +48,14 @@ def simulate_ars_fast(
     seed: RngLike = None,
     p_start: float = P_MAX,
     record_trace: bool = False,
+    halt_on_single: bool = True,
 ) -> RunResult:
-    """Run the [3] MAC election over *n* nodes with learning rate *gamma*.
+    """Run the [3] MAC over *n* nodes with learning rate *gamma*.
 
     Mirrors :class:`~repro.protocols.baselines.ars_mac.ARSMACStation`
-    slot-for-slot; see that module for the protocol rules.
+    slot-for-slot; see that module for the protocol rules.  With
+    *halt_on_single* the run is an election ending at the first
+    successful ``Single``; without it the MAC runs all *max_slots*.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
@@ -74,7 +87,7 @@ def simulate_ars_fast(
             n=n,
             trace=trace,
             budget=adversary.budget,
-            transmit_probability=float(p.mean()),
+            transmit_probability=float(p[0]),
         )
         jammed = adversary.decide(view)
 
@@ -91,7 +104,7 @@ def simulate_ars_fast(
         )
         slots_run = slot + 1
 
-        if outcome.successful_single:
+        if outcome.successful_single and halt_on_single:
             elected = True
             leader = int(np.flatnonzero(tx)[0])
             timed_out = False
@@ -102,9 +115,12 @@ def simulate_ars_fast(
             # Listeners sense idle: p up (capped), idle timestamp refreshed.
             p[listen] = np.minimum(p[listen] * grow, P_MAX)
             last_idle[listen] = slot
-        # (A jammed or collided slot triggers no direct update; an observed
-        # Single cannot reach here in election mode -- a jammed true Single
-        # is observed as a Collision.)
+        elif outcome.observed_state is ChannelState.SINGLE:
+            # Plain MAC only (election mode halted above): listeners back
+            # off after another node's success.
+            p[listen] /= grow
+            T_v[listen] = np.maximum(T_v[listen] - 1, 1)
+        # (A jammed or collided slot triggers no direct update.)
 
         # Counter logic, every node every slot.
         c_v += 1

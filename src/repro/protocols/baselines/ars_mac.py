@@ -25,9 +25,12 @@ parameter the stations must know -- the dependence our paper's protocols
 eliminate (Section 1.3).
 
 Unlike the paper's protocols this one is **not uniform** (``p_v`` depends
-on ``v``'s own past transmit decisions), so it runs on the faithful
-per-station engine.  For leader election we use the strong-CD equivalence
-(Section 1.3): the first successful ``Single`` elects its transmitter.
+on ``v``'s own past transmit decisions), so it runs per station: on the
+faithful engine, or vectorized by
+:func:`~repro.protocols.baselines.ars_fast.simulate_ars_fast`, which the
+experiments use and the tests check against this class.  For leader
+election we use the strong-CD equivalence (Section 1.3): the first
+successful ``Single`` elects its transmitter.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ class ARSMACStation(StationProtocol):
     terminate_on_single:
         If true (default) the station runs the *leader election*
         application: the first successful ``Single`` ends its protocol.
-        If false it runs the plain MAC forever (used by the throughput
-        experiment), applying [3]'s success update
+        If false it runs the plain MAC forever (the throughput experiment's
+        semantics), applying [3]'s success update
         ``p_v <- p_v/(1+gamma)``, ``T_v <- max(T_v - 1, 1)``.
     """
 

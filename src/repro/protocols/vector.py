@@ -19,17 +19,22 @@ Implemented policies:
 * :class:`VectorEstimationPolicy` -- ``Estimation(L)`` (Function 2);
 * :class:`VectorLESUPolicy` -- Algorithm 2 (estimation phase + diagonal
   LESK sub-run schedule), the weak-CD/unknown-eps protocol;
-* :class:`VectorNoCDSweepPolicy` -- the no-CD repeated sweep baseline.
+* :class:`VectorNoCDSweepPolicy` -- the no-CD repeated sweep baseline;
+* :class:`VectorNotificationPolicy` -- Notification (Function 4), the
+  weak-CD wrapper of Lemma 3.1, one column per station cell of the
+  vectorized faithful engine (:mod:`repro.sim.vectorized`).
 """
 
 from __future__ import annotations
 
 import abc
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.protocols.intervals import IntervalId, interval_of_slot
 from repro.protocols.lesk import lesk_parameter_a
 from repro.protocols.lesu import DEFAULT_C, SubRun, lesu_schedule
 from repro.types import ChannelState
@@ -41,6 +46,7 @@ __all__ = [
     "VectorEstimationPolicy",
     "VectorLESUPolicy",
     "VectorNoCDSweepPolicy",
+    "VectorNotificationPolicy",
 ]
 
 #: Largest exponent for which ``2**-u`` is a positive double (matches
@@ -114,6 +120,23 @@ class VectorUniformPolicy(abc.ABC):
         ``None`` for policies without a result notion -- the batched
         counterpart of the scalar ``UniformPolicy.result``."""
         return None
+
+    @property
+    def is_leader(self) -> np.ndarray | None:
+        """Per-column leader flags of a policy that resolves Singles
+        itself, or ``None`` (the default) for a first-``Single`` policy,
+        whose ``Single`` the engine resolves.
+
+        The vectorized faithful engine hands such a policy every heard
+        ``Single``, reads each replication's leader count off these flags
+        and asks :meth:`probe` for the adversary's view of station 0.
+        """
+        return None
+
+    def probe(self, cells: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(p, u)`` hints of the selected *cells* before slot *step*
+        begins -- only for policies whose :attr:`is_leader` is not None."""
+        raise NotImplementedError(f"{type(self).__name__} resolves no Singles")
 
     def compact(self, keep: np.ndarray) -> None:
         """Drop every column not selected by ``keep`` (sorted index array).
@@ -549,3 +572,134 @@ class VectorLESUPolicy(VectorUniformPolicy):
 
     def __repr__(self) -> str:
         return f"VectorLESUPolicy(c={self.c}, reps={self.reps})"
+
+
+# Phase codes of VectorNotificationPolicy, one per
+# repro.protocols.notification.Phase member, and the phase that runs A in
+# (or transmits in) each interval class j.
+_RUN_C1, _RUN_C2, _NOTIFY_LEADER, _NOTIFY_NONLEADER, _DONE = range(5)
+_RUN = {1: _RUN_C1, 2: _RUN_C2}
+_NOTIFY = {1: _NOTIFY_NONLEADER, 3: _NOTIFY_LEADER}
+
+
+class VectorNotificationPolicy(VectorUniformPolicy):
+    """Notification (Function 4) over ``width`` station cells.
+
+    Follows :class:`~repro.protocols.notification.NotificationStation`
+    rule for rule, one column per cell of the vectorized faithful engine:
+
+    * per-cell phase and leader arrays (leader ``-1`` = undefined);
+    * one vector copy of ``A`` (``factory(width)``) for the ``C_1`` runs
+      and one for the ``C_2`` runs, each replaced at the first slot of an
+      interval of its class.  The partition is a pure function of the
+      slot, so this is the scalar station's restart of ``A`` at each new
+      interval: a cell only joins a run set at an interval start;
+    * the notify phases transmit with ``p = 1`` in their interval class
+      and ``p = 0`` elsewhere.
+
+    ``A``'s copies see what the scalar station feeds ``A``: ``Collision``
+    when the cell transmitted (the engine's weak-CD states) and the heard
+    state otherwise, except a heard ``Single``, which drives the phase
+    transitions instead.  The policy resolves Singles itself
+    (:attr:`is_leader`), so the engine retires a replication once every
+    cell is done.  Under churn, a cell asleep at an interval start takes
+    the fresh copy, which the scalar station would create on waking.
+    """
+
+    def __init__(
+        self,
+        factory: Callable[[int], VectorUniformPolicy],
+        width: int,
+        partition: Callable[[int], IntervalId | None] = interval_of_slot,
+    ) -> None:
+        super().__init__(width)
+        self.factory = factory
+        self.partition = partition
+        self.phase = np.full(self.reps, _RUN_C1, dtype=np.int8)
+        self._leader = np.full(self.reps, -1, dtype=np.int8)
+        # Whether the cell holds a running copy of A (set on its first slot
+        # in its run set, dropped on every phase change).
+        self._has_copy = np.zeros(self.reps, dtype=bool)
+        self._copies = {1: factory(self.reps), 2: factory(self.reps)}
+        self._iv: IntervalId | None = None  # this slot's interval
+
+    def transmit_probabilities(self, step: int) -> np.ndarray:
+        iv = self._iv = self.partition(step)
+        p = np.zeros(self.reps)
+        if iv is None:
+            return p
+        if iv.j in _RUN:
+            if iv.offset == 0:
+                self._copies[iv.j] = self.factory(self.reps)
+            running = self.phase == _RUN[iv.j]
+            self._has_copy |= running
+            copy_p = self._copies[iv.j].transmit_probabilities(step)
+            np.copyto(p, copy_p, where=running)
+        if iv.j in _NOTIFY:
+            p[self.phase == _NOTIFY[iv.j]] = 1.0
+        return p
+
+    def observe_batch(self, step, states, active):
+        iv = self._iv  # located by transmit_probabilities for this slot
+        if iv is None:
+            return
+        single = active & (states == _SINGLE)
+        if iv.j in _RUN:
+            run = active & (self.phase == _RUN[iv.j]) & ~single
+            self._copies[iv.j].observe_batch(step, states, run)
+        if iv.j == 1:
+            # First Single: a leader candidate exists and it is not this
+            # listener, which moves to the C2 execution of A.
+            to_c2 = single & (self.phase == _RUN_C1)
+            self._leader[to_c2] = 0
+            self._set_phase(to_c2, _RUN_C2)
+            # A Null in C1 acknowledges the leader's announcement.
+            self._set_phase(
+                active & (states == _NULL) & (self.phase == _NOTIFY_LEADER), _DONE
+            )
+        elif iv.j == 2:
+            # Only the C1 transmitter missed the first Single, so only it
+            # still has leader undefined: it is the leader.
+            lead = single & (self._leader < 0)
+            follow = single & (self._leader == 0) & (self.phase == _RUN_C2)
+            self._leader[lead] = 1
+            self._set_phase(lead, _NOTIFY_LEADER)
+            self._set_phase(follow, _NOTIFY_NONLEADER)
+        else:
+            # The leader announced itself: everyone still waiting finishes.
+            end = single & (self.phase != _NOTIFY_LEADER)
+            self._leader[end & (self._leader < 0)] = 0
+            self._set_phase(end, _DONE)
+
+    def _set_phase(self, cells: np.ndarray, phase: int) -> None:
+        self.phase[cells] = phase
+        self._has_copy[cells] = False
+
+    def probe(self, cells, step):
+        """``NotificationStation.transmit_probability_hint()`` and
+        ``u_hint()`` of *cells*: the running copy's ``p`` and ``u``, even
+        outside its run set; ``p = 1`` while notifying, ``0`` once done;
+        NaN while the cell holds no copy."""
+        phase = self.phase[cells]
+        has_copy = self._has_copy[cells]
+        p = np.full(cells.size, np.nan)
+        u = np.full(cells.size, np.nan)
+        for j, copy in self._copies.items():
+            on = has_copy & (phase == _RUN[j])
+            if on.any():
+                p[on] = copy.transmit_probabilities(step)[cells[on]]
+                u[on] = copy.u[cells[on]]
+        p[(phase == _NOTIFY_LEADER) | (phase == _NOTIFY_NONLEADER)] = 1.0
+        p[phase == _DONE] = 0.0
+        return p, u
+
+    @property
+    def completed(self) -> np.ndarray:
+        return self.phase == _DONE
+
+    @property
+    def is_leader(self) -> np.ndarray:
+        return self._leader == 1
+
+    def __repr__(self) -> str:
+        return f"VectorNotificationPolicy(width={self.reps})"

@@ -86,6 +86,9 @@ class BatchRunResult:
     timed_out: np.ndarray  # bool
     leader_survived: np.ndarray | None = None  # bool; None = fault-free batch
     policy_results: np.ndarray | None = None  # int64, -1 = no result
+    #: int64 leader-claiming stations per run, from policies that resolve
+    #: Singles themselves; ``None`` = one leader exactly when elected.
+    leaders_count: np.ndarray | None = None
 
     def results(self) -> list[RunResult]:
         """Per-replication :class:`RunResult` views (harness-compatible)."""
@@ -104,7 +107,11 @@ class BatchRunResult:
                     leader=int(self.leaders[r]) if elected else None,
                     first_single_slot=first if first >= 0 else None,
                     all_terminated=elected or bool(self.policy_completed[r]),
-                    leaders_count=1 if elected else 0,
+                    leaders_count=(
+                        int(elected)
+                        if self.leaders_count is None
+                        else int(self.leaders_count[r])
+                    ),
                     jams=int(self.jams[r]),
                     jam_denied=int(self.jam_denied[r]),
                     energy=EnergyStats(

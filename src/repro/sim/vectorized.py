@@ -21,7 +21,15 @@ NumPy, one global slot per step:
   layer's per-station churn/corruption via one
   :class:`~repro.resilience.faults.RealizedFaults` per replication;
 * the winner of a heard ``Single`` is the *actual transmitting cell*
-  (not a symmetric post-hoc draw): per-station fidelity is preserved.
+  (not a symmetric post-hoc draw): per-station fidelity is preserved;
+* a policy that resolves Singles itself -- its
+  :attr:`~repro.protocols.vector.VectorUniformPolicy.is_leader` is not
+  ``None``, as for
+  :class:`~repro.protocols.vector.VectorNotificationPolicy` -- runs in
+  weak CD: its listeners receive a heard ``Single`` instead of being
+  marked done, a replication retires once every cell is done, its leader
+  count is read off the cells, and the adversary probes station 0
+  through :meth:`~repro.protocols.vector.VectorUniformPolicy.probe`.
 
 RNG-stream contract: ``spawn_many(root, reps)`` yields one stream per
 replication; each live replication consumes one ``(n,)`` uniform block
@@ -120,7 +128,8 @@ def simulate_stations_vectorized(
         ``STRONG`` or ``WEAK`` (uniform ``Broadcast`` protocols need a CD
         model, mirroring ``UniformStationAdapter``).
     stop_on_first_single:
-        Retire a replication at its first *heard* successful ``Single``.
+        Retire a replication at its first *heard* successful ``Single``
+        (ignored for a policy that resolves Singles itself).
     stop_when_all_done:
         Retire a replication once every station is done or permanently
         crashed (the Notification criterion).
@@ -153,6 +162,14 @@ def simulate_stations_vectorized(
         raise ConfigurationError(
             f"policy_factory returned width {policy.reps}, expected {width}"
         )
+    resolves = policy.is_leader is not None
+    if resolves:
+        if not weak:
+            raise ConfigurationError(
+                f"{type(policy).__name__} resolves Singles itself: run it in weak CD"
+            )
+        stop_on_first_single = False
+        probe_cells = np.arange(reps) * n  # station 0 of each replication
     adversary = adversary_factory(reps)
     adversary.reset(seed=root.spawn(1)[0])
     realized = _realize_per_rep(faults, n, reps, max_slots, root)
@@ -223,13 +240,18 @@ def simulate_stations_vectorized(
 
         # (1) the adversary commits from public history; the hints mirror
         # the scalar engine's stations[0] probe (0.0 once that cell is
-        # done, exactly like UniformStationAdapter.transmit_probability_hint).
+        # done, exactly like UniformStationAdapter.transmit_probability_hint),
+        # taken before the slot begins.
+        if resolves:
+            p_hint, u_hint = policy.probe(probe_cells, slot)
         p = policy.transmit_probabilities(slot)
         pm = p.reshape(reps, n)
-        p_hint = np.where(cell_done[:, 0], 0.0, pm[:, 0])
+        if not resolves:
+            p_hint = np.where(cell_done[:, 0], 0.0, pm[:, 0])
+            u_hint = policy.u.reshape(reps, n)[:, 0] if wants_u else None
         view.slot = slot
         view.transmit_probabilities = p_hint
-        view.protocol_u = policy.u.reshape(reps, n)[:, 0] if wants_u else None
+        view.protocol_u = u_hint
         view.active = rep_active
         jammed = adversary.decide(view)
 
@@ -317,9 +339,11 @@ def simulate_stations_vectorized(
         # transmitters, whose "assume Collision" needs no channel.
         if weak:
             listeners = alive & ~transmit
-            resolved = listeners & heard[:, None]
-            cell_done |= resolved
-            observers = listeners & (~heard & (observed != _SINGLE))[:, None]
+            if resolves:
+                observers = listeners
+            else:
+                cell_done |= listeners & heard[:, None]
+                observers = listeners & (~heard & (observed != _SINGLE))[:, None]
             if realized is not None:
                 observers &= ~erase[:, None]
             states = np.where(
@@ -360,6 +384,15 @@ def simulate_stations_vectorized(
         jam_denied[live] = budget.denied_requests[live]
         counts = cell_leader[live].sum(axis=1)
         elected[live] = (cell_done | crashed)[live].all(axis=1) & (counts == 1)
+    leaders_count = None
+    if resolves:
+        # Measured, not implied: the leader count and the all-done flag
+        # come from the cells' own state, as in the scalar engine.
+        cells = policy.is_leader.reshape(reps, n)
+        leaders_count = cells.sum(axis=1)
+        policy_done = (cell_done | crashed).all(axis=1)
+        elected = policy_done & (leaders_count == 1)
+        leaders = np.where(leaders_count == 1, cells.argmax(axis=1), -1)
     # A rep whose leader cell never got marked keeps leaders == -1.
     presults = policy.policy_results
     presults_rep = None
@@ -398,4 +431,5 @@ def simulate_stations_vectorized(
         timed_out=timed_out,
         leader_survived=leader_survived,
         policy_results=presults_rep,
+        leaders_count=leaders_count,
     )

@@ -8,6 +8,9 @@ want-sequence -- not just distributionally, but per slot.  We fuzz random
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -92,3 +95,50 @@ def test_validation():
     array = JammingBudgetArray(T=4, eps=0.5, reps=2)
     with pytest.raises(ConfigurationError):
         array.grant(np.ones(3, dtype=bool))
+
+
+class BufferedRule:
+    """Reference: the (A)/(B) rule with (A) checked in every slot against a
+    rolling buffer of the last ``T`` prefix counts ``J[max(0, t+1-T)]``."""
+
+    def __init__(self, T: int, eps: float) -> None:
+        self.T, self.rate = T, 1.0 - eps
+        self.slot = self.jams = self.folded = 0
+        self.recent = deque([0], maxlen=T)
+        self.pending = deque([0.0])
+        self.min_phi = math.inf
+
+    def grant(self, want: bool) -> bool:
+        t, new = self.slot, self.jams + 1
+        ok = want and new - self.recent[0] <= self.rate * self.T + 1e-12
+        if ok and t + 1 >= self.T:
+            while self.folded <= t + 1 - self.T:
+                self.min_phi = min(self.min_phi, self.pending.popleft())
+                self.folded += 1
+            ok = new - self.rate * (t + 1) <= self.min_phi + 1e-12
+        self.jams += ok
+        self.slot += 1
+        self.recent.append(self.jams)
+        self.pending.append(self.jams - self.rate * self.slot)
+        return ok
+
+
+@pytest.mark.parametrize(
+    "T, eps", [(3, 0.3), (7, 0.7), (16, 0.3), (16, 0.5), (100, 0.7), (1000, 0.3)]
+)
+def test_grants_match_buffered_rule(T, eps):
+    """Checking (A) only while ``t + 1 < T`` grants exactly what the
+    buffered rule grants, over runs long enough for (B)'s float rounding
+    to grow, on both budget classes."""
+    slots, densities = 20_000, np.array([0.2, 0.6, 0.9, 1.0])
+    wants = np.random.default_rng([T, round(eps * 10)]).random(
+        (slots, densities.size)
+    ) < densities
+    array = JammingBudgetArray(T=T, eps=eps, reps=densities.size)
+    vector = np.array([array.grant(w) for w in wants])
+    for col in range(densities.size):
+        reference = BufferedRule(T, eps)
+        expect = np.array([reference.grant(bool(w)) for w in wants[:, col]])
+        assert expect.any() and not expect.all()
+        np.testing.assert_array_equal(scalar_grants(T, eps, wants[:, col]), expect)
+        np.testing.assert_array_equal(vector[:, col], expect)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.analysis.walks import equilibrium_u
 from repro.applications.fair_use import FairUseReport, jain_index, simulate_fair_use
 from repro.applications.k_selection import select_k_leaders
 from repro.applications.size_estimation import (
@@ -37,6 +38,16 @@ class TestSizeWalkEstimator:
         a = estimate_size_walk(n=256, seed=3)
         b = estimate_size_walk(n=256, seed=3)
         assert a.log2_estimate == b.log2_estimate
+
+    def test_inversion_reuses_equilibria(self):
+        # The bisection over log2 n rounds each midpoint to an integer n,
+        # so most of its equilibrium_u calls repeat an earlier argument.
+        equilibrium_u.cache_clear()
+        first = estimate_size_walk(n=256, seed=3)
+        info = equilibrium_u.cache_info()
+        assert info.hits > info.misses > 0
+        assert estimate_size_walk(n=256, seed=3) == first
+        assert equilibrium_u.cache_info().misses == info.misses
 
 
 class TestLogLogEstimator:

@@ -12,6 +12,9 @@ editing these registries; each is then checked for
   counts) match the scalar fast engine's on shared cells, by two-sample
   Kolmogorov-Smirnov tests at significance level :data:`ALPHA` with fixed
   seeds (the faithful rows pin the fast engine to the per-station model);
+  the weak-CD Notification cells of :data:`NOTIFICATION_CELLS` take the
+  faithful engine as their reference instead, and both engines must
+  always end with exactly one leader and every station done;
 * **determinism** -- the same seed gives the same bits;
 * **one stream** -- the megakernel and the batched engine consume one
   bitstream, so ``CellSpec(megakernel=True)`` returns exactly the results
@@ -22,7 +25,10 @@ editing these registries; each is then checked for
   and its vector twin, one column per script, agree slot by slot on ``p``,
   ``u``, completion and result; each deterministic strategy and its vector
   twin agree on every want, and :class:`JammingBudget` and
-  :class:`JammingBudgetArray` on every grant.
+  :class:`JammingBudgetArray` on every grant; on seeded weak-CD scripts,
+  :class:`NotificationStation` and :class:`VectorNotificationPolicy` agree
+  on the adversary's probe, the transmit decision, the phase, the leader
+  flag and completion.
 """
 
 from __future__ import annotations
@@ -36,31 +42,36 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.adversary.base import AdversaryView
+from repro.adversary.base import Adversary, AdversaryView
 from repro.adversary.budget import JammingBudget, JammingBudgetArray
 from repro.adversary.suite import STRATEGY_REGISTRY, make_adversary
 from repro.adversary.vector import (
     BATCHED_STRATEGY_REGISTRY,
     BatchAdversaryView,
+    BatchedAdversary,
     VectorReactiveJammer,
     make_batched_adversary,
 )
 from repro.channel.feedback import feedback_for
 from repro.channel.trace import ChannelTrace
 from repro.experiments.cells import CELL_KINDS, CellSpec, run_cell_direct
+from repro.experiments.e21_interval_ablation import VectorC3Killer, _c3_killer
 from repro.protocols.base import UniformStationAdapter
 from repro.protocols.baselines.nakano_olariu import (
     NoCDSweepPolicy,
     UniformSweepPolicy,
 )
 from repro.protocols.estimation import EstimationPolicy
+from repro.protocols.intervals import fixed_partition, interval_of_slot
 from repro.protocols.lesk import LESKPolicy
 from repro.protocols.lesu import LESUPolicy
+from repro.protocols.notification import NotificationStation, Phase
 from repro.protocols.vector import (
     VectorEstimationPolicy,
     VectorLESKPolicy,
     VectorLESUPolicy,
     VectorNoCDSweepPolicy,
+    VectorNotificationPolicy,
     VectorSweepPolicy,
 )
 from repro.resilience.faults import FaultModel
@@ -254,10 +265,12 @@ def reference_sample(policy: str, adversary: str) -> Sample:
     return ENGINES[REFERENCE].run(policy, adversary, REPS, 1)
 
 
-def assert_same_law(got: np.ndarray, ref: np.ndarray, label: str) -> None:
+def assert_same_law(
+    got: np.ndarray, ref: np.ndarray, label: str, reference: str = REFERENCE
+) -> None:
     ks = stats.ks_2samp(got.astype(float), ref.astype(float))
     assert ks.pvalue > ALPHA, (
-        f"{label} diverges from the {REFERENCE} engine: KS p={ks.pvalue:.2e}, "
+        f"{label} diverges from the {reference} engine: KS p={ks.pvalue:.2e}, "
         f"medians {np.median(got):.0f} vs {np.median(ref):.0f}"
     )
 
@@ -282,6 +295,183 @@ def test_same_seed_same_bits(engine):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field), field)
     c = run("lesk", "reactive", 12, 8)
     assert not np.array_equal(a.slots, c.slots)
+
+
+# -- Notification (weak CD) --------------------------------------------------
+
+#: Stations and runs per Notification cell, sized for the faithful side:
+#: the four cells take about 9 s.
+NOTIFY_N = 8
+NOTIFY_REPS = 120
+#: ``(adversary, T)`` cells of LEWK on the doubling partition.  The C3
+#: killer requests every C_3 slot; at T = 128 it silences the leader's
+#: announcements up to the 64-slot intervals.
+NOTIFICATION_CELLS = (
+    ("none", T),
+    ("saturating", T),
+    ("single-suppressor", T),
+    ("c3-killer", 128),
+)
+
+
+def notification_adversaries(adversary: str, T_: int) -> tuple[Callable, Callable]:
+    """Scalar and batched factories of one Notification cell's adversary."""
+    if adversary == "c3-killer":
+        return (
+            lambda: Adversary(_c3_killer(interval_of_slot), T=T_, eps=EPS),
+            lambda reps: BatchedAdversary(
+                VectorC3Killer(interval_of_slot), T=T_, eps=EPS, reps=reps
+            ),
+        )
+    return (
+        lambda: make_adversary(adversary, T=T_, eps=EPS),
+        lambda reps: make_batched_adversary(adversary, T=T_, eps=EPS, reps=reps),
+    )
+
+
+def run_notification(engine: str, adversary: str, T_: int, seed: int) -> list:
+    """LEWK runs of one cell on the ``faithful`` or ``vectorized`` engine."""
+    scalar, batched = notification_adversaries(adversary, T_)
+    if engine == "faithful":
+        return [
+            simulate_stations(
+                [
+                    NotificationStation(functools.partial(LESKPolicy, EPS))
+                    for _ in range(NOTIFY_N)
+                ],
+                scalar(),
+                cd_mode=CDMode.WEAK,
+                max_slots=MAX_SLOTS,
+                seed=derive_seed(seed, r),
+            )
+            for r in range(NOTIFY_REPS)
+        ]
+    return simulate_stations_vectorized(
+        lambda width: VectorNotificationPolicy(
+            lambda w: VectorLESKPolicy(EPS, w), width
+        ),
+        NOTIFY_N,
+        batched,
+        reps=NOTIFY_REPS,
+        max_slots=MAX_SLOTS,
+        root_seed=seed,
+        cd_mode=CDMode.WEAK,
+    ).results()
+
+
+@pytest.mark.parametrize(
+    "adversary, T_", NOTIFICATION_CELLS, ids=[a for a, _ in NOTIFICATION_CELLS]
+)
+def test_notification_law_matches_faithful(adversary, T_):
+    ref = run_notification("faithful", adversary, T_, 1)
+    got = run_notification("vectorized", adversary, T_, 2)
+    for engine, runs in (("faithful", ref), ("vectorized", got)):
+        assert all(r.leaders_count == 1 for r in runs), f"{engine}: 1-leader rate"
+        assert all(r.all_terminated for r in runs), f"{engine}: all-done rate"
+    label = f"vectorized notification/{adversary}"
+    sample = lambda runs, field: np.array([getattr(r, field) for r in runs])
+    assert_same_law(
+        sample(got, "slots"), sample(ref, "slots"), f"{label} completion slot",
+        "faithful",
+    )
+    if adversary != "none":
+        assert_same_law(
+            sample(got, "jams"), sample(ref, "jams"), f"{label} jam count",
+            "faithful",
+        )
+
+
+class SlotUniforms:
+    """A station RNG that returns its column's uniform for the current slot."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+        self.slot = 0
+
+    def random(self) -> float:
+        return float(self.values[self.slot])
+
+
+def notification_lockstep(seed: int, partition) -> tuple | None:
+    """Run :class:`NotificationStation` and :class:`VectorNotificationPolicy`
+    on one seeded weak-CD script; return the first ``(slot, column,
+    quantity)`` where they disagree, or ``None``.
+
+    A column is one station.  Its script gives, per slot, the uniform its
+    transmit decision compares against and the state it hears when it
+    listens (Null, Single, Collision or erased); a transmitter hears
+    nothing.  Before each slot the adversary's probe (``p``, ``u``) is
+    compared, then the transmit decision, then the phase, leader flag and
+    completion after the slot.
+    """
+    rng = np.random.default_rng(seed)
+    width, slots = int(rng.integers(4, 9)), 300
+    uniforms = rng.random((slots, width))
+    # Singles are rarer in C_3, so that cells linger in every phase.
+    odds = {True: [0.4, 0.01, 0.56, 0.03], False: [0.4, 0.06, 0.51, 0.03]}
+    codes = np.array([
+        rng.choice(
+            [NULL, SINGLE, COLLISION, ERASED], size=width,
+            p=odds[iv is not None and iv.j == 3],
+        )
+        for iv in map(partition, range(slots))
+    ])
+    what = ("p", "u", "transmit", "phase", "leader", "done")
+    scalar = np.empty((slots, width, len(what)))
+    for col in range(width):
+        station = NotificationStation(
+            functools.partial(LESKPolicy, EPS), partition=partition
+        )
+        draws = SlotUniforms(uniforms[:, col])
+        station.reset(col, draws)
+        for slot in range(slots):
+            probe = station.transmit_probability_hint(), station.u_hint()
+            sent = False
+            if not station.done:
+                draws.slot = slot
+                sent = station.begin_slot(slot) is Action.TRANSMIT
+                code = int(codes[slot, col])
+                if code == ERASED or sent:
+                    feedback = SlotFeedback(sent, PerceivedState.UNKNOWN)
+                else:
+                    feedback = feedback_for(False, ChannelState(code), CDMode.WEAK)
+                station.end_slot(slot, feedback)
+            scalar[slot, col] = (
+                *probe, sent, list(Phase).index(station.phase),
+                station.is_leader is True, station.done,
+            )
+
+    twin = VectorNotificationPolicy(
+        lambda w: VectorLESKPolicy(EPS, w), width, partition=partition
+    )
+    vector = np.empty_like(scalar)
+    cells = np.arange(width)
+    for slot in range(slots):
+        probe = twin.probe(cells, slot)
+        done = twin.completed.copy()
+        sent = ~done & (uniforms[slot] < twin.transmit_probabilities(slot))
+        heard = np.where(codes[slot] == ERASED, NULL, codes[slot])
+        twin.observe_batch(
+            slot,
+            np.where(sent, COLLISION, heard),
+            ~done & (sent | (codes[slot] != ERASED)),
+        )
+        vector[slot] = np.stack(
+            [*probe, sent, twin.phase, twin.is_leader, twin.completed], axis=1
+        )
+    return first_mismatch(differs(vector, scalar), what)
+
+
+@pytest.mark.parametrize(
+    "partition", [interval_of_slot, fixed_partition(4)], ids=["doubling", "fixed-4"]
+)
+def test_notification_lockstep(partition):
+    diverged = [
+        (seed, first)
+        for seed in range(20)
+        if (first := notification_lockstep(seed, partition)) is not None
+    ]
+    assert not diverged, f"(seed, (slot, column, quantity)) {diverged[:3]}"
 
 
 FAULTS = FaultModel(flip_rate=0.05, erase_rate=0.05, crash_rate=0.002)

@@ -11,6 +11,8 @@ experiment table silently changed too.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.adversary.base import Adversary, as_strategy
 from repro.adversary.suite import make_adversary
 from repro.core.config import ElectionConfig
@@ -168,3 +170,30 @@ def test_simulate_ars_fast_pinned():
         seed=SEED,
     )
     assert (result.slots, result.elected, result.jams) == (5, True, 4)
+
+
+def test_simulate_ars_fast_no_halt_pinned():
+    # A4's shape on the vectorized engine: the plain MAC, full trace.
+    n = 16
+    result = simulate_ars_fast(
+        n,
+        ars_gamma(n, 16),
+        make_adversary("saturating", T=16, eps=EPS),
+        max_slots=3000,
+        seed=SEED,
+        record_trace=True,
+        halt_on_single=False,
+    )
+    trace = result.trace
+    clear = ~trace.jammed_array()
+    singles = (trace.true_states_array() == 1) & clear
+    assert (result.slots, result.jams, int(singles.sum())) == (3000, 1412, 468)
+    assert (result.elected, result.timed_out, result.first_single_slot) == (
+        False, True, 8,
+    )
+    halves = [
+        int(singles[part].sum()) / int(clear[part].sum())
+        for part in (slice(None, 1500), slice(1500, None))
+    ]
+    assert halves == pytest.approx([0.29345088161209065, 0.2959697732997481], abs=1e-15)
+    assert (result.energy.transmissions, result.energy.listening) == (1610, 46390)

@@ -16,10 +16,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adversary.vector import make_batched_adversary
+from repro.adversary.base import AdversaryView
+from repro.adversary.vector import (
+    BatchAdversaryView,
+    BatchedAdversary,
+    VectorJammingStrategy,
+    make_batched_adversary,
+)
 from repro.core.config import default_slot_budget
 from repro.errors import ConfigurationError
-from repro.protocols.vector import VectorLESKPolicy
+from repro.experiments.e21_interval_ablation import VectorC3Killer, _c3_killer
+from repro.protocols.intervals import (
+    first_slot_of_interval,
+    fixed_partition,
+    interval_of_slot,
+)
+from repro.protocols.vector import VectorLESKPolicy, VectorNotificationPolicy
 from repro.resilience.auditor import BatchInvariantAuditor
 from repro.resilience.faults import FaultModel
 from repro.sim.vectorized import simulate_stations_vectorized
@@ -175,3 +187,125 @@ class TestWeakCD:
         )
         assert r.elected.all()
         assert (r.slots == r.first_single_slot + 1).all()
+
+
+def notification(partition=interval_of_slot):
+    return lambda w: VectorNotificationPolicy(
+        lambda width: VectorLESKPolicy(EPS, width), w, partition=partition
+    )
+
+
+class TestNotification:
+    """Weak-CD Notification: the policy resolves its own Singles."""
+
+    def test_lewk_doubling_pinned(self):
+        r = simulate_stations_vectorized(
+            notification(),
+            16,
+            lambda reps: make_batched_adversary("saturating", T=T, eps=EPS, reps=reps),
+            reps=4,
+            max_slots=200_000,
+            root_seed=123,
+            cd_mode=CDMode.WEAK,
+        )
+        assert list(r.slots) == [191, 382, 382, 382]
+        assert list(r.leaders) == [14, 3, 9, 5]
+        assert list(r.leaders_count) == [1, 1, 1, 1]
+        assert list(r.first_single_slot) == [120, 242, 239, 230]
+        assert list(r.jams) == [85, 170, 170, 170]
+        assert list(r.transmissions) == [955, 1409, 1418, 1313]
+        assert list(r.listening) == [1621, 3758, 3749, 3854]
+        assert r.elected.all() and r.policy_completed.all()
+        assert not r.timed_out.any()
+
+    def test_fixed_partition_under_c3_killer_pinned(self):
+        # A9's shape: with every C_3 slot jammed, an elected leader never
+        # announces; its followers wait in notify-nonleader to the end.
+        partition = fixed_partition(16)
+        made = []
+
+        def policy(width):
+            made.append(notification(partition)(width))
+            return made[-1]
+
+        r = simulate_stations_vectorized(
+            policy,
+            10,
+            lambda reps: BatchedAdversary(
+                VectorC3Killer(partition), T=64, eps=EPS, reps=reps
+            ),
+            reps=3,
+            max_slots=3000,
+            root_seed=5,
+            cd_mode=CDMode.WEAK,
+        )
+        assert list(r.slots) == [3000, 3000, 3000]
+        assert r.timed_out.all() and not r.elected.any()
+        assert list(r.first_single_slot) == [777, -1, 253]
+        assert list(r.leaders_count) == [1, 0, 1]
+        assert list(r.jams) == [992, 992, 992]
+        assert list(r.transmissions) == [9161, 7491, 8188]
+        phases = made[0].phase.reshape(3, 10)
+        assert [int((row == 3).sum()) for row in phases] == [8, 0, 8]
+        runs = r.results()
+        assert [x.leaders_count for x in runs] == [1, 0, 1]
+        assert not any(x.all_terminated or x.elected for x in runs)
+
+    def test_probe_precedes_the_restart(self):
+        # The adversary reads station 0 before the slot begins, as the
+        # scalar engine does: at the first slot of a C_1 interval a station
+        # still shows the copy of A it ran in the last one.
+        class Spy(VectorJammingStrategy):
+            def __init__(self):
+                self.u = {}
+
+            def wants_jam_batch(self, view, rng):
+                self.u[view.slot] = view.protocol_u.copy()
+                return np.zeros(view.reps, dtype=bool)
+
+        spy = Spy()
+        simulate_stations_vectorized(
+            notification(),
+            16,
+            lambda reps: BatchedAdversary(spy, T=T, eps=EPS, reps=reps),
+            reps=8,
+            max_slots=2000,
+            root_seed=4,
+            cd_mode=CDMode.WEAK,
+        )
+        checked = 0
+        for i in range(2, 9):
+            start = first_slot_of_interval(i, 1)
+            if start not in spy.u:
+                break
+            before, at = spy.u[start - 1], spy.u[start]
+            running = np.isfinite(before) & np.isfinite(at)
+            np.testing.assert_array_equal(at[running], before[running])
+            checked += int((running & (before > 0)).sum())
+        assert checked > 0
+
+    def test_strong_cd_rejected(self):
+        with pytest.raises(ConfigurationError, match="weak CD"):
+            simulate_stations_vectorized(
+                notification(),
+                4,
+                lambda reps: make_batched_adversary("none", T=T, eps=EPS, reps=reps),
+                reps=2,
+                max_slots=10,
+                root_seed=1,
+            )
+
+    @pytest.mark.parametrize(
+        "partition", [interval_of_slot, fixed_partition(256)], ids=["doubling", "fixed"]
+    )
+    def test_c3_killer_wants_match_scalar(self, partition):
+        scalar = _c3_killer(partition)
+        vector = VectorC3Killer(partition)
+        for slot in range(5000):
+            want = scalar.wants_jam(
+                AdversaryView(slot=slot, n=10, trace=None, budget=None), None
+            )
+            wants = vector.wants_jam_batch(
+                BatchAdversaryView(slot=slot, n=10, reps=3, budget=None), None
+            )
+            assert wants.tolist() == [want] * 3, slot
