@@ -10,15 +10,12 @@ fastest engine that can run each cell:
   (schedulable) adversaries run the fused fast path, everything else
   delegates to the batched engine byte-identically inside the engine;
 * the batched cross-replication engine (:mod:`repro.sim.batched`) by
-  default (``batched=True``) when the adversary has a vectorized
-  implementation -- which since the adaptive family gained
-  :class:`~repro.adversary.vector` counterparts covers the whole
-  strategy suite;
+  default (``batched=True``); every strategy of the suite has a
+  :mod:`~repro.adversary.vector` counterpart, and a name without one
+  raises :class:`~repro.errors.ConfigurationError`;
 * the scalar fast-engine loop via :func:`repro.experiments.harness.replicate`
-  otherwise, and as the reference when a caller passes ``batched=False``.
-  The fallback from ``batched=True`` is never silent: it increments
-  ``engine_fallback_total{reason=...}`` and warns once per component
-  (:func:`repro.experiments.harness.record_engine_fallback`).
+  when a caller passes ``batched=False``, the reference for the batched
+  path.
 
 Cell kinds: :func:`lesk_cell` (Algorithm 1), :func:`lesu_cell`
 (Algorithm 2, unknown eps/T), :func:`estimation_cell` (Function 2),
@@ -43,14 +40,13 @@ from functools import lru_cache
 
 from repro import telemetry
 from repro.adversary.suite import make_adversary
-from repro.adversary.vector import is_batchable, make_batched_adversary
+from repro.adversary.vector import make_batched_adversary
 from repro.core.config import default_slot_budget
 from repro.core.election import elect_leader
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     SHARD_BLOCK_TAG,
     ShardedScheduler,
-    record_engine_fallback,
     replicate,
     replicate_batched,
     replicate_megakernel,
@@ -100,18 +96,6 @@ def estimation_slot_budget(n: int, T: int) -> int:
     return int(1024 * max(T, math.log2(max(n, 2))) + 4096)
 
 
-def _use_batched(batched: bool, adversary: str) -> bool:
-    """Engine selection plus loud accounting for the scalar fallback."""
-    if not batched:
-        return False
-    if is_batchable(adversary):
-        return True
-    record_engine_fallback(
-        f"adversary {adversary!r}", reason="adversary-not-batchable"
-    )
-    return False
-
-
 def lesk_cell(
     n: int,
     eps: float,
@@ -127,10 +111,9 @@ def lesk_cell(
 ) -> list:
     """Replicated LESK elections for one table cell.
 
-    With ``batched=True`` and a vectorizable adversary, all *reps*
-    replications advance together through the batched engine; otherwise
-    each replication is a scalar :func:`repro.core.election.elect_leader`
-    call.  ``max_slots=None`` selects the same
+    With ``batched=True`` all *reps* replications advance together
+    through the batched engine; with ``batched=False`` each replication
+    is a scalar :func:`repro.core.election.elect_leader` call.  ``max_slots=None`` selects the same
     :func:`~repro.core.config.default_slot_budget` either way.
 
     ``megakernel=True`` routes the batched path through the slot-blocked
@@ -143,7 +126,7 @@ def lesk_cell(
     *faults* (a :class:`~repro.resilience.faults.FaultModel`) applies on
     both engine paths.
     """
-    if _use_batched(batched, adversary):
+    if batched:
         budget = (
             max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesk")
         )
@@ -195,7 +178,7 @@ def lesu_cell(
     ``engine_fallback_total``); the flag exists so sweeps can set it
     uniformly across cell kinds.
     """
-    if _use_batched(batched, adversary):
+    if batched:
         budget = (
             max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesu")
         )
@@ -249,7 +232,7 @@ def estimation_cell(
     exactly 0.0 without drawing them.
     """
     budget = max_slots if max_slots is not None else estimation_slot_budget(n, T)
-    if _use_batched(batched, adversary):
+    if batched:
         engine = replicate_megakernel if megakernel else replicate_batched
         return engine(
             lambda reps_: VectorEstimationPolicy(reps_, L=2),
@@ -292,7 +275,7 @@ def sweep_cell(
 ) -> list:
     """Replicated Nakano--Olariu doubling-sweep (CD) baseline runs."""
     budget = max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesk")
-    if _use_batched(batched, adversary):
+    if batched:
         engine = replicate_megakernel if megakernel else replicate_batched
         return engine(
             lambda reps_: VectorSweepPolicy(reps_),
@@ -334,7 +317,7 @@ def nocd_cell(
 ) -> list:
     """Replicated no-CD repeated-sweep baseline runs."""
     budget = max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesk")
-    if _use_batched(batched, adversary):
+    if batched:
         engine = replicate_megakernel if megakernel else replicate_batched
         return engine(
             lambda reps_: VectorNoCDSweepPolicy(reps_),

@@ -24,6 +24,7 @@ runner recomputes rather than trusting a damaged file.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -115,8 +116,11 @@ def payload_checksum(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@functools.cache
 def _git_sha() -> str | None:
-    """HEAD commit of the working tree, or None outside a git checkout."""
+    """HEAD commit of the checkout this code was imported from, or None
+    outside a git checkout.  Asked once per process: a later checkout
+    does not change the code the process already runs."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -31,7 +31,9 @@ Options::
     --out DIR                  write sweep.txt/sweep.csv/failures.txt and
                                block checkpoints under DIR/shards/
     --resume                   reuse --out DIR: restore completed blocks,
-                               recompute only what is missing
+                               recompute only what is missing; refused
+                               unless the grid's scenario digest matches
+                               DIR/sweep-manifest.json
 
 Exit status: 0 -- every cell complete; 2 -- partial results (quarantined
 blocks itemized in failures.txt); 1 -- nothing usable or bad
@@ -59,21 +61,9 @@ from repro.experiments.retry import RetryPolicy
 
 __all__ = ["main", "build_specs", "sweep_scenario", "sweep_table"]
 
+#: Written before any block runs; records the grid's scenario digest,
+#: which ``--resume`` requires to match.
 SWEEP_MANIFEST = "sweep-manifest.json"
-
-#: Manifest keys that must match for --resume (they determine the seeds).
-_STRICT_KEYS = (
-    "format",
-    "kinds",
-    "n",
-    "adversaries",
-    "eps",
-    "T",
-    "reps",
-    "seed",
-    "path_tag",
-    "block_size",
-)
 
 
 def _csv_list(raw: str, convert=str) -> list:
@@ -201,22 +191,13 @@ def sweep_table(specs: list[CellSpec], results: list[list]) -> Table:
     return table
 
 
-def _manifest(args, kinds, ns, adversaries) -> dict:
-    return {
-        "format": 1,
-        "kinds": kinds,
-        "n": ns,
-        "adversaries": adversaries,
-        "eps": args.eps,
-        "T": args.T,
-        "reps": args.reps,
-        "seed": args.seed,
-        "path_tag": args.path_tag,
-        "block_size": args.block_size,
-    }
+def _check_resume(out: Path, digest: str) -> None:
+    """Refuse to resume a sweep directory made from a different grid.
 
-
-def _check_resume_manifest(out: Path, expected: dict) -> None:
+    The scenario digest covers every argument that fixes a seed or a
+    block (schema, kinds, n, adversaries, eps, T, reps, seed, path tag
+    and block size).
+    """
     path = out / SWEEP_MANIFEST
     try:
         stored = json.loads(path.read_text())
@@ -228,16 +209,13 @@ def _check_resume_manifest(out: Path, expected: dict) -> None:
         ) from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"unreadable {path}: {exc}") from exc
-    mismatches = [
-        f"  {key}: run dir has {stored.get(key)!r}, this invocation has "
-        f"{expected.get(key)!r}"
-        for key in _STRICT_KEYS
-        if stored.get(key) != expected.get(key)
-    ]
-    if mismatches:
+    stored_digest = stored.get("scenario_digest")
+    if stored_digest != digest:
+        argv = (stored.get("invocation") or {}).get("argv")
         raise ConfigurationError(
-            "refusing to resume: the sweep directory was created with "
-            "different parameters --\n" + "\n".join(mismatches)
+            f"refusing to resume: {out} holds a sweep with scenario digest "
+            f"{stored_digest} (made by argv {argv!r}); this invocation's "
+            f"grid digests to {digest}"
         )
 
 
@@ -307,13 +285,14 @@ def main(argv: list[str] | None = None) -> int:
         specs = expand(scenario)
 
         checkpoint_dir = None
-        manifest = _manifest(args, kinds, ns, adversaries)
-        manifest["scenario_digest"] = scenario_digest(scenario)
-        manifest["invocation"] = cli_invocation("sweep", argv)
+        manifest = {
+            "scenario_digest": scenario_digest(scenario),
+            "invocation": cli_invocation("sweep", argv),
+        }
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
             if args.resume:
-                _check_resume_manifest(args.out, manifest)
+                _check_resume(args.out, manifest["scenario_digest"])
             else:
                 # Fresh sweep into a reused directory: drop stale blocks.
                 shards = args.out / SHARD_SUBDIR

@@ -8,12 +8,10 @@ declarative, replayable pipeline (see ``docs/service.md``):
   :class:`~repro.experiments.cells.CellSpec` lists with deterministic
   ``(root_seed, path)`` derivations and a canonical content digest;
 * :mod:`repro.service.store` -- a content-addressed on-disk store of run
-  directories keyed by scenario digest: register, query, execute with
-  shard checkpoints, stream journals, load checksummed result tables,
-  and bit-replay any run from its manifest;
-* :mod:`repro.service.ledger` -- the durable WAL-mode sqlite index over
-  the store (state transitions, attempts, digests, a FAILURES view),
-  reconciled against directory truth on startup;
+  directories keyed by scenario digest: register, list (the directories
+  are the only index), execute with shard checkpoints, stream journals,
+  load checksummed result tables, and bit-replay any run from its
+  manifest;
 * :mod:`repro.service.jobs` -- a restart-surviving job queue with bounded
   concurrency and backpressure scheduling scenario runs onto the
   supervised worker pool of :mod:`repro.experiments.parallel`
@@ -43,7 +41,6 @@ from repro.service.jobs import (
     JobService,
     ServiceDegradedError,
 )
-from repro.service.ledger import RunLedger
 from repro.service.store import ReplayReport, RunRecord, RunStore
 
 __all__ = [
@@ -59,5 +56,4 @@ __all__ = [
     "RunStore",
     "RunRecord",
     "ReplayReport",
-    "RunLedger",
 ]

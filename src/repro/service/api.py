@@ -14,14 +14,15 @@ POST     ``/v1/scenarios``               submit a scenario document (YAML/JSON
                                          ``Retry-After`` header) when the
                                          bounded queue is full, 503 (also
                                          ``Retry-After``) while degraded
-GET      ``/v1/runs``                    list runs (``?state=``, ``?name=``);
-                                         ``?limit=``/``?offset=`` paginate in
-                                         stable registration order (served
-                                         from the sqlite ledger) and switch
-                                         the response to an envelope with
+GET      ``/v1/runs``                    list runs in registration order
+                                         (``?state=``, ``?name=``);
+                                         ``?limit=``/``?offset=`` paginate
+                                         and switch the response to an
+                                         envelope with
                                          ``runs``/``total``/``limit``/``offset``
 GET      ``/v1/failures``                the FAILURES view: failed and
-                                         quarantined runs, newest first
+                                         quarantined runs, newest-registered
+                                         first
 GET      ``/v1/runs/<id>``               status + journal-derived progress
 GET      ``/v1/runs/<id>/journal``       the append-only event log (JSONL)
 GET      ``/v1/runs/<id>/results``       checksummed result table

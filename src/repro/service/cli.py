@@ -11,9 +11,10 @@
 * ``replay RUN_ID``     bit-replay; exit 0 iff the recomputed table is
                         byte-identical to the stored one (tampered or
                         bit-rotted stores exit nonzero)
-* ``list``              enumerate registered runs (``--state``,
-                        ``--limit``/``--offset`` pagination,
-                        ``--failures`` for the quarantine view)
+* ``list``              enumerate registered runs in registration order
+                        (``--state``, ``--limit``/``--offset``
+                        pagination, ``--failures`` for the quarantine
+                        view, newest-registered first)
 
 ``submit --url`` retries 429 (queue full) and 503 (degraded) responses
 with bounded seeded backoff, honoring the server's ``Retry-After``
@@ -21,9 +22,9 @@ hint, before giving up.
 
 ``serve`` runs the long-lived job daemon: bounded queue, a supervised
 worker-process pool (per-run deadlines, heartbeats, crash requeue,
-quarantine), a sqlite ledger reconciled on boot (crash recovery, even from
-SIGKILL), HTTP API, and a SIGTERM handler that drains the queue before
-exiting.  ``--inject-faults`` arms the service chaos layer
+quarantine), a rescan of the run directories on boot (crash recovery,
+even from SIGKILL), HTTP API, and a SIGTERM handler that drains the
+queue before exiting.  ``--inject-faults`` arms the service chaos layer
 (``worker:kill@SEQ``, ``worker:hang@SEQ``, ``store:tamper@SEQ``,
 ``disk:full@SEQ``).
 

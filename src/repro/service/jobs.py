@@ -36,10 +36,10 @@ Durability and backpressure:
 * the pending set is **bounded** -- when full, :meth:`submit` raises
   :class:`BackpressureError` (the HTTP layer maps it to 429 with a
   ``Retry-After`` hint) instead of buffering unbounded work;
-* all job state lives in the store (``status.json`` per run, mirrored
-  into the sqlite ledger), so a service restart -- even SIGKILL --
-  recovers by :meth:`rescan`: the ledger is reconciled against the
-  directory and runs left ``queued`` or ``running`` are re-enqueued;
+* all job state lives in the run directories (``status.json`` per
+  run, and a ``dispatched`` journal record per attempt), so a service
+  restart -- even SIGKILL -- recovers by :meth:`rescan`: runs left
+  ``queued`` or ``running`` are re-enqueued;
 * :meth:`stop` supports both a **drain** (finish everything already
   queued, the SIGTERM path) and an immediate stop (kill in-flight
   workers; their runs stay ``running`` in the store for the next
@@ -116,15 +116,12 @@ def _execute_run(store_root: str, run_id: str, jobs: int,
     final state.  *seq* is the pool's dispatch sequence number, which the
     ``disk:full`` and ``store:tamper`` atoms key on."""
     store = RunStore(store_root)
-    try:
-        record = store.get(run_id)
-        with faults.disk_pressure(seq):
-            state = store.execute(record, jobs=jobs)
-        if state == "done" and faults.should_tamper(seq):
-            tamper_stored_table(record.root)
-        return state
-    finally:
-        store.ledger.close()
+    record = store.get(run_id)
+    with faults.disk_pressure(seq):
+        state = store.execute(record, jobs=jobs)
+    if state == "done" and faults.should_tamper(seq):
+        tamper_stored_table(record.root)
+    return state
 
 
 class JobService:
@@ -192,10 +189,6 @@ class JobService:
         if self._started:
             return
         self._started = True
-        try:
-            self.store.reconcile_ledger()
-        except Exception:  # ledger is an index; never block startup on it
-            pass
         self.rescan()
         self._fleet = WorkerPool(
             _execute_run,
@@ -361,7 +354,9 @@ class JobService:
             tel.counter("service_run_retries_total").inc()
         with self._lock:
             self._in_flight.add(run_id)
-        self.store.record_attempt(run_id)
+        self.store.append_journal(
+            run_id, {"event": "dispatched", "attempt": execution, "seq": seq}
+        )
         return (str(self.store.root), run_id, self.jobs_per_run, self._faults, seq)
 
     def _finish_cancelled_queued(self, run_id: str) -> None:

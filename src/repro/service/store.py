@@ -9,13 +9,17 @@ by construction.  Layout::
       scenario.json        normalized scenario document (digest preimage)
       manifest.json        checkpoint.build_manifest + scenario_digest
                            + the invoking CLI argv (how it was produced)
+                           + registered_ns, the registration stamp;
+                           written after scenario.json and status.json,
+                           so a directory without it is a registration
+                           still in progress
       status.json          {"state": queued|running|done|failed|
                           cancelled|quarantined, ...}
       CANCEL               cooperative-cancel marker (present only while
                            a cancellation is pending; polled between
                            cells, works across process boundaries)
-      journal.jsonl        append-only event log (registered, started,
-                           per-cell progress, done/failed)
+      journal.jsonl        append-only event log (registered, dispatched,
+                           started, per-cell progress, done/failed)
       shards/block-*.json  content-addressed block checkpoints written
                            during execution (crash-safe resume)
       tables/SCENARIO.json checksummed result-table payload
@@ -31,20 +35,20 @@ compared byte-for-byte against the checksummed stored payloads -- so
 both silent bit-rot (checksum mismatch) and result drift (payload
 mismatch) are loud.
 
-Since PR 9 the store also maintains a durable sqlite index
-(``STORE_ROOT/ledger.db``, :class:`repro.service.ledger.RunLedger`):
-every registration and state transition is mirrored there best-effort
-(the directory stays the source of truth; a broken ledger degrades
-:meth:`query` to a directory scan, never correctness), giving O(1)
-listing/filtering/pagination and a FAILURES view over failed and
-quarantined runs.  :meth:`serve_table` is the verify-on-read gate: a
-stored table that fails its checksum is *quarantined*, never served.
+The run directories are the store's only index.  :meth:`query`,
+:meth:`count` and :meth:`failures` scan ``runs/*/`` once per call,
+reading each run's ``manifest.json`` (registration stamp, scenario name)
+and ``status.json``; they order runs by the stamp :meth:`register` wrote,
+tie-broken by run id, and count a run's ``attempts`` from the
+``dispatched`` records in its journal.  :meth:`serve_table` is the
+verify-on-read gate: a stored table that fails its checksum is
+*quarantined*, never served.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +64,6 @@ from repro.experiments.checkpoint import (
     table_payload,
 )
 from repro.experiments.harness import Column, Table, summarize_times
-from repro.service.ledger import LEDGER_NAME, RunLedger
 from repro.service.scenario import (
     Scenario,
     expand,
@@ -90,6 +93,7 @@ CANCEL_NAME = "CANCEL"
 
 #: Hex digits of the scenario digest used as the run id.
 RUN_ID_LEN = 16
+_FULL_RUN_ID = re.compile(f"[0-9a-f]{{{RUN_ID_LEN}}}")
 
 RUN_STATES = (
     "queued", "running", "done", "failed", "cancelled", "quarantined",
@@ -193,8 +197,6 @@ class RunStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._ledger: RunLedger | None = None
-        self._ledger_checked = False
 
     # -- paths -------------------------------------------------------------
 
@@ -206,57 +208,6 @@ class RunStore:
         """The directory a run id addresses (whether or not it exists)."""
         return self.runs_dir / run_id
 
-    # -- ledger (the sqlite index; directory stays source of truth) --------
-
-    @property
-    def ledger(self) -> RunLedger:
-        """The store's sqlite index (created lazily on first use)."""
-        if self._ledger is None:
-            self._ledger = RunLedger(self.root / LEDGER_NAME)
-        return self._ledger
-
-    def _ledger_record(self, run_id: str, state: str, **kwargs) -> None:
-        """Mirror a transition into the index; never let it break a write."""
-        try:
-            self.ledger.record(run_id, state, **kwargs)
-        except (sqlite3.Error, OSError):
-            self._count_ledger_error()
-
-    def _synced_ledger(self) -> RunLedger | None:
-        """The ledger, reconciled once per store instance when out of sync.
-
-        Returns None (callers fall back to directory scans) when sqlite
-        is unusable.  The sync check is a cheap count comparison: it
-        catches a deleted/older ledger and runs registered behind the
-        index's back; per-row staleness is repaired by :meth:`status`
-        overlay in :meth:`query`.
-        """
-        try:
-            if not self._ledger_checked:
-                self._ledger_checked = True
-                if self.ledger.count() != len(self.run_ids()):
-                    self.ledger.reconcile(self.runs_dir)
-            return self.ledger
-        except (sqlite3.Error, OSError):
-            self._count_ledger_error()
-            return None
-
-    def reconcile_ledger(self) -> dict:
-        """Force a full directory -> ledger reconciliation (startup path)."""
-        self._ledger_checked = True
-        summary = self.ledger.reconcile(self.runs_dir)
-        tel = telemetry.get_telemetry()
-        for key in ("added", "updated", "dropped"):
-            if summary.get(key):
-                tel.counter(
-                    "service_ledger_reconciled_total", change=key
-                ).inc(summary[key])
-        return summary
-
-    @staticmethod
-    def _count_ledger_error() -> None:
-        telemetry.get_telemetry().counter("service_ledger_errors_total").inc()
-
     # -- registration ------------------------------------------------------
 
     def register(
@@ -266,21 +217,24 @@ class RunStore:
 
         Idempotent: the run id is the scenario digest prefix, so a
         resubmission of the same document (any formatting, any key
-        order) lands on the existing run directory untouched.
+        order) lands on the existing run untouched.  The manifest, which
+        carries the registration stamp, is written after ``scenario.json``
+        and ``status.json``: listings skip a directory until it exists,
+        and a resubmission completes a registration cut short before it.
         """
         digest = scenario_digest(scenario)
         run_id = digest[:RUN_ID_LEN]
         root = self.run_dir(run_id)
         record = RunRecord(run_id=run_id, root=root, scenario=scenario)
-        if root.is_dir():
+        if (root / MANIFEST_NAME).exists():
             return record, False
-        root.mkdir(parents=True)
-        record.shards_dir.mkdir()
-        record.tables_dir.mkdir()
+        record.shards_dir.mkdir(parents=True, exist_ok=True)
+        record.tables_dir.mkdir(exist_ok=True)
         atomic_write_text(
             root / SCENARIO_NAME,
             json.dumps(scenario.to_jsonable(), indent=2, sort_keys=True),
         )
+        self.set_state(run_id, "queued")
         manifest = build_manifest(
             preset="scenario",
             ids=[scenario.name],
@@ -288,14 +242,10 @@ class RunStore:
             invocation=invocation,
             scenario_digest=digest,
         )
+        manifest["registered_ns"] = time.time_ns()
         atomic_write_text(
             root / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True)
         )
-        self.set_state(run_id, "queued")
-        try:
-            self.ledger.annotate(run_id, scenario=scenario.name, digest=digest)
-        except (sqlite3.Error, OSError):
-            self._count_ledger_error()
         self.append_journal(run_id, {"event": "registered", "digest": digest})
         return record, True
 
@@ -308,17 +258,22 @@ class RunStore:
         return sorted(p.name for p in self.runs_dir.iterdir() if p.is_dir())
 
     def get(self, run_id: str) -> RunRecord:
-        """Fetch a run by id or unique id prefix."""
-        ids = self.run_ids()
-        if run_id in ids:
+        """Fetch a run by id or unique id prefix.
+
+        A well-formed full id whose directory exists resolves without
+        listing the store; anything else (a prefix, or input that is not
+        hex) is matched against the registered names.
+        """
+        if _FULL_RUN_ID.fullmatch(run_id) and self.run_dir(run_id).is_dir():
             matches = [run_id]
         else:
+            ids = self.run_ids()
             matches = [i for i in ids if i.startswith(run_id)]
-        if not matches:
-            raise ConfigurationError(
-                f"no run {run_id!r} in store {self.root} "
-                f"({len(ids)} runs registered)"
-            )
+            if not matches:
+                raise ConfigurationError(
+                    f"no run {run_id!r} in store {self.root} "
+                    f"({len(ids)} runs registered)"
+                )
         if len(matches) > 1:
             raise ConfigurationError(
                 f"ambiguous run id prefix {run_id!r}: matches {matches}"
@@ -331,6 +286,49 @@ class RunStore:
         """All registered runs (sorted by id)."""
         return [self.get(run_id) for run_id in self.run_ids()]
 
+    def _scan(self, state: str | None = None, name: str | None = None) -> list[dict]:
+        """Registered runs matching the filters, in registration order.
+
+        The store's one index: a pass over ``runs/*/`` reading each run's
+        manifest (registration stamp, scenario name) and ``status.json``.
+        Runs registered before the stamp existed sort first, by id; a
+        directory whose manifest is not written yet is skipped.
+        """
+        found = []
+        for run_id in self.run_ids():
+            try:
+                manifest = json.loads(
+                    (self.run_dir(run_id) / MANIFEST_NAME).read_text()
+                )
+            except (FileNotFoundError, json.JSONDecodeError):
+                continue
+            scenario_name = (manifest.get("ids") or [None])[0]
+            status = self.status(run_id)
+            if state is not None and status.get("state") != state:
+                continue
+            if name is not None and scenario_name != name:
+                continue
+            found.append((
+                manifest.get("registered_ns", 0),
+                run_id,
+                {"run_id": run_id, "scenario": scenario_name, **status},
+            ))
+        found.sort(key=lambda item: item[:2])
+        return [row for _, _, row in found]
+
+    def _with_attempts(self, rows: list[dict]) -> list[dict]:
+        """Each row plus its dispatch count, read from the run's journal."""
+        return [
+            {
+                **row,
+                "attempts": sum(
+                    1 for r in self.journal(row["run_id"])
+                    if r.get("event") == "dispatched"
+                ),
+            }
+            for row in rows
+        ]
+
     def query(
         self,
         state: str | None = None,
@@ -340,83 +338,23 @@ class RunStore:
     ) -> list[dict]:
         """Summaries of registered runs, optionally filtered and paginated.
 
-        Served from the sqlite ledger in stable registration order --
-        O(page size), not O(runs).  Each summary row is overlaid with the
-        run's live ``status.json`` fields (timestamps, checksums, error
-        text), so directory truth always wins over a stale index row.
-        Falls back to a full directory scan when the ledger is unusable.
+        Runs come in registration order.  Each summary holds the run id,
+        the scenario name, the ``status.json`` fields and ``attempts``.
         """
-        ledger = self._synced_ledger()
-        if ledger is None:
-            return self._query_scan(state, name, limit, offset)
-        try:
-            rows = ledger.query(state=state, name=name, limit=limit, offset=offset)
-        except (sqlite3.Error, OSError):
-            self._count_ledger_error()
-            return self._query_scan(state, name, limit, offset)
-        out = []
-        for row in rows:
-            status = self.status(row["run_id"])
-            summary = {
-                "run_id": row["run_id"],
-                "scenario": row["scenario"],
-                "attempts": row["attempts"],
-                **status,
-            }
-            if not status:  # directory row vanished; report the index view
-                summary["state"] = row["state"]
-            out.append(summary)
-        return out
-
-    def _query_scan(
-        self,
-        state: str | None,
-        name: str | None,
-        limit: int | None = None,
-        offset: int = 0,
-    ) -> list[dict]:
-        """The O(runs) directory-walk fallback (ledger unusable)."""
-        out = []
-        for run_id in self.run_ids():
-            status = self.status(run_id)
-            scenario_name = None
-            try:
-                scenario_name = self._load_scenario(self.run_dir(run_id)).name
-            except ConfigurationError:
-                pass
-            if state is not None and status.get("state") != state:
-                continue
-            if name is not None and scenario_name != name:
-                continue
-            out.append({"run_id": run_id, "scenario": scenario_name, **status})
         end = None if limit is None else offset + limit
-        return out[offset:end]
+        return self._with_attempts(self._scan(state, name)[offset:end])
 
     def count(self, state: str | None = None, name: str | None = None) -> int:
         """Number of registered runs matching the filters (for pagination)."""
-        ledger = self._synced_ledger()
-        if ledger is not None:
-            try:
-                return ledger.count(state=state, name=name)
-            except (sqlite3.Error, OSError):
-                self._count_ledger_error()
-        return len(self._query_scan(state, name))
+        return len(self._scan(state, name))
 
     def failures(self) -> list[dict]:
         """The FAILURES view: failed and quarantined runs, newest first."""
-        ledger = self._synced_ledger()
-        if ledger is not None:
-            try:
-                return ledger.failures()
-            except (sqlite3.Error, OSError):
-                self._count_ledger_error()
         rows = [
-            r
-            for r in self._query_scan(None, None)
-            if r.get("state") in ("failed", "quarantined")
+            r for r in self._scan() if r.get("state") in ("failed", "quarantined")
         ]
         rows.reverse()
-        return rows
+        return self._with_attempts(rows)
 
     def _load_scenario(self, root: Path) -> Scenario:
         path = root / SCENARIO_NAME
@@ -446,13 +384,7 @@ class RunStore:
             return {}
 
     def set_state(self, run_id: str, state: str, **extra) -> None:
-        """Atomically update the run's state (one of :data:`RUN_STATES`).
-
-        ``status.json`` is written first (source of truth), then the
-        transition is mirrored into the sqlite ledger best-effort -- a
-        SIGKILL between the two leaves the index one transition stale,
-        repaired by reconciliation at the next startup.
-        """
+        """Atomically update the run's state (one of :data:`RUN_STATES`)."""
         if state not in RUN_STATES:
             raise ConfigurationError(
                 f"unknown run state {state!r}; known: {RUN_STATES}"
@@ -461,10 +393,6 @@ class RunStore:
         atomic_write_text(
             self.run_dir(run_id) / STATUS_NAME,
             json.dumps(record, sort_keys=True),
-        )
-        err = extra.get("error")
-        self._ledger_record(
-            run_id, state, error=str(err) if err is not None else None
         )
 
     def append_journal(self, run_id: str, record: dict) -> None:
@@ -505,15 +433,7 @@ class RunStore:
         """Remove any cancel marker (on submit and settled cancels)."""
         self.cancel_path(run_id).unlink(missing_ok=True)
 
-    # -- attempts / quarantine ----------------------------------------------
-
-    def record_attempt(self, run_id: str) -> int:
-        """Count one dispatch attempt in the ledger; returns the total."""
-        try:
-            return self.ledger.record_attempt(run_id)
-        except (sqlite3.Error, OSError):
-            self._count_ledger_error()
-            return 0
+    # -- quarantine ----------------------------------------------------------
 
     def quarantine(self, run_id: str, reason: str, kind: str = "poison") -> None:
         """Park a run where it can do no harm (never auto-retried/served).

@@ -194,25 +194,21 @@ class TestLoudFallback:
         warnings = [r for r in caplog.records if "no vectorized" in r.getMessage()]
         assert len(warnings) == 1  # warned once, counted twice
 
-    def test_unbatchable_adversary_falls_back_loudly(self, monkeypatch, caplog):
+    def test_unbatchable_adversary_is_a_configuration_error(self, monkeypatch):
+        """A batched cell never falls back to the scalar path: a strategy
+        with no vectorized twin is refused by name."""
         from repro.adversary import suite
         from repro.adversary.oblivious import NoJamming
 
         monkeypatch.setitem(
             suite.STRATEGY_REGISTRY, "scalar-only", lambda T, eps: NoJamming()
         )
-        monkeypatch.setattr(harness, "_FALLBACK_WARNED", set())
         with telemetry.collecting() as sink:
-            with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
-                results = lesk_cell(
-                    64, 0.5, 8, "scalar-only", 4, 13, 0, batched=True
-                )
+            with pytest.raises(ConfigurationError, match="'scalar-only' has no"):
+                lesk_cell(64, 0.5, 8, "scalar-only", 4, 13, 0, batched=True)
+        assert sink.metrics.counter_total("engine_fallback_total") == 0
+        results = lesk_cell(64, 0.5, 8, "scalar-only", 4, 13, 0, batched=False)
         assert len(results) == 4 and all(r.elected for r in results)
-        assert sink.metrics.counter_total("engine_fallback_total") == 1
-        assert any(
-            "scalar-only" in r.getMessage() and "falling back" in r.getMessage()
-            for r in caplog.records
-        )
 
 
 class TestScheduleCache:

@@ -211,7 +211,7 @@ class TestPagination:
             assert code == 200
             assert [r["run_id"] for r in json.loads(body)] == ids
 
-            # with params -> the pagination envelope, from the ledger
+            # with params -> the pagination envelope, in registration order
             code, body = request("GET", f"{base}/v1/runs?limit=2&offset=1")
             assert code == 200
             page = json.loads(body)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.errors import ChecksumMismatchError, ConfigurationError
+from repro.experiments.retry import RetryPolicy
+from repro.service.jobs import JobService
 from repro.service.scenario import scenario_digest, scenario_from_jsonable
 from repro.service.store import RUN_ID_LEN, RunStore
 
@@ -28,6 +31,17 @@ def store(tmp_path):
 @pytest.fixture()
 def scenario():
     return scenario_from_jsonable(SMALL)
+
+
+def listed(i: int):
+    """A small scenario per index; indices 0-3 have unsorted run ids."""
+    return scenario_from_jsonable({**SMALL, "scenario": f"list-{i}", "seed": 60 + i})
+
+
+def fast_retry() -> RetryPolicy:
+    return RetryPolicy(
+        max_attempts=3, backoff_base=0.05, backoff_cap=0.2, retry_timeouts=True
+    )
 
 
 class TestRegister:
@@ -60,6 +74,16 @@ class TestRegister:
         assert store.get(record.run_id[:6]).run_id == record.run_id
         with pytest.raises(ConfigurationError, match="no run"):
             store.get("ffffffff")
+
+    def test_get_by_full_id_and_non_hex_ids(self, store, scenario):
+        record, _ = store.register(scenario)
+        assert store.get(record.run_id).run_id == record.run_id
+        for bad in ("..", "../runs", "ffffffffffffffff", record.run_id.upper()):
+            with pytest.raises(ConfigurationError, match="no run"):
+                store.get(bad)
+        store.register(listed(0))
+        with pytest.raises(ConfigurationError, match="ambiguous"):
+            store.get("")
 
 
 class TestExecuteAndReplay:
@@ -173,3 +197,114 @@ class TestQueryAndProgress:
         assert progress["cells_done"] == 2
         assert progress["cells_total"] == 2
         assert progress["state"] == "done"
+
+
+class TestListing:
+    """The run directories are the store's only index."""
+
+    @pytest.fixture()
+    def ids(self, store):
+        ids = [store.register(listed(i))[0].run_id for i in range(4)]
+        assert ids != sorted(ids)  # registration order is not id order
+        return ids
+
+    def test_registration_order_survives_status_changes(self, store, ids):
+        assert [r["run_id"] for r in store.query()] == ids
+        store.set_state(ids[0], "done")
+        store.set_state(ids[2], "running")
+        assert [r["run_id"] for r in store.query()] == ids
+        assert RunStore(store.root).query()[2]["state"] == "running"
+
+    def test_state_and_name_filters(self, store, ids):
+        store.set_state(ids[1], "done")
+        store.set_state(ids[3], "done")
+        assert [r["run_id"] for r in store.query(state="done")] == [ids[1], ids[3]]
+        assert [r["run_id"] for r in store.query(state="queued")] == [ids[0], ids[2]]
+        rows = store.query(name="list-2")
+        assert [(r["run_id"], r["scenario"]) for r in rows] == [(ids[2], "list-2")]
+        assert store.query(name="list-2", state="done") == []
+
+    def test_pagination(self, store, ids):
+        assert [r["run_id"] for r in store.query(limit=2, offset=1)] == ids[1:3]
+        assert [r["run_id"] for r in store.query(limit=0)] == []
+        assert [r["run_id"] for r in store.query(offset=3)] == ids[3:]
+        assert store.query(limit=2, offset=9) == []
+
+    def test_query_order_filters_and_pagination(self, store, ids):
+        store.set_state(ids[3], "done")
+        # stable registration order, not update order
+        assert [r["run_id"] for r in store.query()] == ids
+        assert [r["run_id"] for r in store.query(limit=2, offset=1)] == ids[1:3]
+        assert [r["run_id"] for r in store.query(state="done")] == [ids[3]]
+        assert store.count() == 4
+        assert store.count(state="queued") == 3
+        assert store.count(name="list-1") == 1
+
+    def test_count(self, store, ids):
+        store.set_state(ids[0], "failed", error="boom")
+        assert store.count() == 4
+        assert store.count(state="queued") == 3
+        assert store.count(state="failed") == 1
+        assert store.count(name="list-0") == 1
+        assert store.count(name="nope") == 0
+
+    def test_failures_newest_registered_first(self, store, ids):
+        store.set_state(ids[2], "quarantined", error="poison")
+        store.set_state(ids[0], "failed", error="boom")  # changed last
+        store.set_state(ids[1], "done")
+        rows = store.failures()
+        assert [r["run_id"] for r in rows] == [ids[2], ids[0]]
+        assert [r["error"] for r in rows] == ["poison", "boom"]
+        assert all(r["attempts"] == 0 for r in rows)
+
+    def test_directory_mid_registration_is_skipped(self, store, ids):
+        # register() creates the directory first and the manifest last
+        (store.runs_dir / "0123456789abcdef").mkdir()
+        (store.runs_dir / "0123456789abcdef" / "status.json").write_text(
+            json.dumps({"state": "queued"})
+        )
+        torn = store.run_dir(ids[1]) / "manifest.json"
+        torn.write_text(torn.read_text()[:20])
+        assert [r["run_id"] for r in store.query()] == [ids[0], ids[2], ids[3]]
+        assert store.count() == 3
+        assert store.failures() == []
+
+    def test_resubmission_completes_a_cut_registration(self, store):
+        record, _ = store.register(listed(0))
+        (record.root / "manifest.json").unlink()  # killed before the manifest
+        assert store.query() == []
+        again, created = store.register(listed(0))
+        assert (again.run_id, created) == (record.run_id, True)
+        assert [r["run_id"] for r in store.query()] == [record.run_id]
+        assert store.register(listed(0))[1] is False
+
+    def test_store_without_stamps_lists_by_id_and_ignores_ledger_db(
+        self, store, ids
+    ):
+        # a store written before registration stamps, with its sqlite file
+        for run_id in ids[:2]:
+            path = store.run_dir(run_id) / "manifest.json"
+            manifest = json.loads(path.read_text())
+            del manifest["registered_ns"]
+            path.write_text(json.dumps(manifest))
+        (store.root / "ledger.db").write_bytes(b"SQLite format 3\x00junk")
+        assert [r["run_id"] for r in store.query()] == sorted(ids[:2]) + ids[2:]
+
+    def test_attempts_count_a_killed_dispatch(self, store):
+        svc = JobService(
+            store, retry=fast_retry(), fault_spec="worker:kill@1",
+            heartbeat_interval=0.2,
+        )
+        svc.start()
+        try:
+            run_id = svc.submit(listed(0))["run_id"]
+            deadline = time.monotonic() + 60
+            while store.status(run_id).get("state") != "done":
+                assert time.monotonic() < deadline, store.status(run_id)
+                time.sleep(0.02)
+        finally:
+            svc.stop(drain=True)
+        [row] = store.query()
+        assert (row["run_id"], row["state"], row["attempts"]) == (run_id, "done", 2)
+        dispatched = [r for r in store.journal(run_id) if r["event"] == "dispatched"]
+        assert [r["attempt"] for r in dispatched] == [1, 2]
