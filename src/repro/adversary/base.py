@@ -71,6 +71,19 @@ class JammingStrategy(abc.ABC):
     def reset(self) -> None:
         """Clear any internal state before a new run (default: stateless)."""
 
+    def want_schedule(self, start: int, count: int) -> np.ndarray | None:
+        """Want flags for slots ``start .. start+count-1``, or ``None``.
+
+        The scalar twin of
+        :meth:`repro.adversary.vector.VectorJammingStrategy.want_schedule`:
+        a strategy whose want is a pure function of the slot index (no
+        history, no protocol state, no RNG) returns a ``(count,)`` boolean
+        array, which lets an engine grant slots nobody transmits in
+        without building a view for each.  The default ``None`` keeps
+        every other strategy on the per-slot path.
+        """
+        return None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 

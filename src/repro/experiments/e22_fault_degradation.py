@@ -79,6 +79,10 @@ def run(preset: str = "small", seed: int = 2026) -> Table:
     Each corruption cell runs as one audited
     :func:`~repro.sim.vectorized.simulate_stations_vectorized` batch --
     the same per-station faithful model, minus the scalar station loop.
+    Corruption reaches every station of a replication alike, so in this
+    strong-CD model the policy factory gets one column per replication
+    (width ``reps``), and each replication draws its uniforms and fault
+    flags in blocks of slots.
     Churn cells (and the fault-free baseline, which is the churn sweep's
     zero-severity row) stay on the scalar path: restart supervision after
     a doomed leader lives in :func:`~repro.core.election.elect_leader`,

@@ -299,8 +299,10 @@ def replicate_vectorized(
 
     Runs all *reps* replications of the *per-station* model in one
     :func:`repro.sim.vectorized.simulate_stations_vectorized` call:
-    *policy_factory* receives the cell width ``n * reps`` (one policy
-    column per station per replication), *faults* are realized
+    *policy_factory* receives the policy width -- ``n * reps`` (one
+    column per station per replication) in weak CD or under churn or
+    clock skew, and ``reps`` (one column per replication, which its
+    stations share) in strong CD without them -- *faults* are realized
     independently per replication, and passing ``audit_T``/``audit_eps``
     attaches a :class:`~repro.resilience.auditor.BatchInvariantAuditor`
     so every slot of every replication is budget/channel-audited.

@@ -230,7 +230,9 @@ class RealizedFaults:
     ``join_slot[sid]`` arrays plus sleep spans assigned to seeded-random
     distinct stations.  Corruption and skew are drawn lazily, one slot at a
     time, from a dedicated stream -- calls must therefore proceed in slot
-    order (both engines already guarantee that).
+    order (both engines already guarantee that).  The vectorized engine
+    draws corruption a block of slots at a time instead
+    (:meth:`corruption_block`), consuming the same stream in the same order.
     """
 
     def __init__(
@@ -364,6 +366,44 @@ class RealizedFaults:
             erase=erase,
             downgrade=downgrade,
         )
+
+    def corruption_block(self, start: int, count: int) -> np.ndarray:
+        """Flip/erase/downgrade flags for slots ``start .. start+count-1``.
+
+        Returns a ``(3, count)`` boolean array (rows: flip, erase,
+        downgrade) equal to what *count* successive :meth:`begin_slot`
+        calls return, and consumes the corruption stream exactly as they
+        do: per slot, a flip draw then an erase draw, each skipped when
+        its rate is zero or the slot is scheduled for that fault.  Counts
+        nothing: pass the rows of the slots the run actually used to
+        :meth:`count_corruption`.
+        """
+        m = self.model
+        flags = np.zeros((3, count), dtype=bool)
+        for row, scheduled in enumerate(
+            (self._flip_slots, self._erase_slots, self._downgrade_slots)
+        ):
+            if scheduled:
+                hits = [s - start for s in scheduled if start <= s < start + count]
+                flags[row, hits] = True
+        rates = np.array([m.flip_rate, m.erase_rate])
+        if rates.any():
+            # One draw per (slot, fault) pair that begin_slot draws for, in
+            # its order: slot-major, flip before erase.
+            need = ~flags[:2].T & (rates > 0.0)
+            drawn = np.ones((count, 2))
+            drawn[need] = self._corruption_rng.random(int(need.sum()))
+            flags[:2] |= (drawn < rates).T
+        return flags
+
+    def count_corruption(self, flags: np.ndarray) -> None:
+        """Count the injections in *flags*, a ``(3, k)`` prefix of a
+        :meth:`corruption_block` result (the slots a run used)."""
+        flip, erase, downgrade = flags.sum(axis=1).tolist()
+        c = self.counters
+        c["flip"] += flip
+        c["erase"] += erase
+        c["downgrade"] += downgrade
 
     # -- leader bookkeeping ------------------------------------------------
 

@@ -179,17 +179,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 f"(got limit={raw_limit!r}, offset={raw_offset!r})",
             )
             return
-        runs = self.svc.store.query(
-            state=state, name=name, limit=limit, offset=offset
-        )
+        runs, total = self.svc.store.page(state, name, limit, offset)
         self._json(
-            200,
-            {
-                "runs": runs,
-                "total": self.svc.store.count(state=state, name=name),
-                "limit": limit,
-                "offset": offset,
-            },
+            200, {"runs": runs, "total": total, "limit": limit, "offset": offset}
         )
 
     def _get_run_sub(self, run_id: str, sub: str, query: dict) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from repro.adversary.suite import make_adversary
 from repro.errors import ConfigurationError
 from repro.protocols.baselines.geometric_energy import (
     GeometricLevelStation,
+    confirmation_slots,
     round_length,
 )
 from repro.sim.engine import simulate_stations
+from repro.sim.metrics import RunResult
 from repro.types import Action, CDMode, PerceivedState, SlotFeedback
 
 
@@ -213,3 +217,48 @@ class TestFastCrossValidation:
             simulate_geometric_fast(4, adv, 0)
         with pytest.raises(ConfigurationError):
             simulate_geometric_fast(4, adv, 10, initial_guess=0)
+
+
+class TestIdleLevelBlocks:
+    """Under a schedulable strategy the fast simulator grants the sweep
+    levels above the highest drawn level as one block; that path must
+    equal the per-slot path (``record_trace=True``) in every field."""
+
+    CAPS = (3, 40, 100, 230, 3000)
+
+    # eps = 0.4 grants every confirmation jam; at eps = 0.9 a second jam
+    # needs about 20 slots since the last, so the idle slots' grants decide.
+    @pytest.mark.parametrize("eps", [0.4, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 64, 512])
+    def test_block_path_equals_per_slot_path(self, n, eps):
+        from repro.adversary.base import Adversary
+        from repro.experiments.e18_energy_frontier import ConfirmationJammer
+        from repro.protocols.baselines.geometric_fast import simulate_geometric_fast
+
+        ended_idle = 0
+        for seed, cap in enumerate(self.CAPS):
+            block, per_slot = (
+                simulate_geometric_fast(
+                    n,
+                    Adversary(ConfirmationJammer(cap), T=16, eps=eps, seed=seed),
+                    max_slots=cap,
+                    seed=seed,
+                    record_trace=record,
+                )
+                for record in (False, True)
+            )
+            assert block.trace is None and len(per_slot.trace) == per_slot.slots
+            for field in dataclasses.fields(RunResult):
+                if field.name != "trace":
+                    assert getattr(block, field.name) == getattr(
+                        per_slot, field.name
+                    ), (cap, field.name)
+            if per_slot.timed_out:
+                # Did the cap fall in the last round's idle prefix?
+                confirms = confirmation_slots(2, cap)
+                start = max([0] + [c + 1 for c in confirms if c + 1 < cap])
+                ended_idle += all(
+                    per_slot.trace[s].transmitters == 0 for s in range(start, cap)
+                )
+        if eps == 0.4:  # every confirmation jammed: each run hits its cap
+            assert ended_idle >= 2

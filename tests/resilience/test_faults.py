@@ -1,7 +1,11 @@
 """FaultModel validation, serialization and deterministic realization."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.resilience.faults import NO_FAULTS, FaultModel
@@ -130,3 +134,63 @@ class TestRealization:
             flip, erase, downgrade = bf.begin_slot(slot, active)
             assert flip.shape == (5,)
             assert erase.shape == (5,)
+
+
+_RATES = st.sampled_from([0.0, 0.05, 0.5, 1.0])
+_SCHEDULED = st.lists(st.integers(0, 90), max_size=6)
+
+
+@given(
+    flip_rate=_RATES,
+    erase_rate=_RATES,
+    flip_slots=_SCHEDULED,
+    erase_slots=_SCHEDULED,
+    downgrade_slots=_SCHEDULED,
+    blocks=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    ran=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_corruption_blocks_equal_successive_begin_slots(
+    flip_rate, erase_rate, flip_slots, erase_slots, downgrade_slots, blocks, ran, seed
+):
+    """Block flags, the stream they consume and the injection counters
+    equal slot-by-slot ``begin_slot`` calls, whatever the block boundaries,
+    for a run of *ran* slots that may stop inside its last block."""
+    fm = FaultModel(
+        flip_rate=flip_rate,
+        erase_rate=erase_rate,
+        flip_slots=flip_slots,
+        erase_slots=erase_slots,
+        downgrade_slots=downgrade_slots,
+    )
+
+    def realize():
+        return fm.realize(4, 200, np.random.default_rng(seed))
+
+    def slot_flags(realized, start, count):
+        flags = [realized.begin_slot(s, 4) for s in range(start, start + count)]
+        return np.array([[f.flip, f.erase, f.downgrade] for f in flags]).T
+
+    blockwise = realize()
+    drawn = []
+    start = 0
+    for size in itertools.cycle(blocks):
+        if start >= ran:
+            break
+        flags = blockwise.corruption_block(start, size)
+        assert flags.shape == (3, size) and flags.dtype == bool
+        blockwise.count_corruption(flags[:, : ran - start])  # the slots run
+        drawn.append(flags)
+        start += size
+
+    slotwise = realize()
+    np.testing.assert_array_equal(
+        np.concatenate(drawn, axis=1), slot_flags(slotwise, 0, start)
+    )
+    # The stream stands where the slot-by-slot one does after as many slots.
+    np.testing.assert_array_equal(
+        blockwise.corruption_block(start, 5), slot_flags(slotwise, start, 5)
+    )
+    counted = realize()
+    slot_flags(counted, 0, ran)
+    assert blockwise.counters == counted.counters
