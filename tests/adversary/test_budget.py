@@ -8,6 +8,8 @@ contiguous slots.  Verified against the independent post-hoc checker.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -126,6 +128,36 @@ def test_granted_sequence_is_always_bounded(requests, T, eps):
     budget = JammingBudget(T, eps)
     granted = [budget.grant(want) for want in requests]
     assert check_bounded(granted, T, eps), max_window_violation(granted, T, eps)
+
+
+@given(
+    requests=st.lists(st.booleans(), min_size=1, max_size=300),
+    blocks=st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=6),
+    T=st.integers(min_value=1, max_value=40),
+    eps=st.floats(min_value=0.05, max_value=1.0),
+)
+def test_grant_block_equals_successive_grants(requests, blocks, T, eps):
+    """Granting blocks of wants decides each slot as slot-by-slot grants
+    do, whatever the block boundaries, and leaves the same budget state."""
+    slotwise = JammingBudget(T, eps)
+    blockwise = JammingBudget(T, eps)
+    start = 0
+    for size in itertools.cycle(blocks):
+        if start >= len(requests):
+            break
+        wants = requests[start : start + size]
+        for want in wants:
+            slotwise.grant(want)
+        blockwise.grant_block(np.array(wants, dtype=bool))
+        start += len(wants)
+        assert (blockwise.slot, blockwise.jams_granted, blockwise.denied_requests) == (
+            slotwise.slot,
+            slotwise.jams_granted,
+            slotwise.denied_requests,
+        )
+    # The state ahead is the same too: a saturating tail is granted alike.
+    tail = [slotwise.grant(True) for _ in range(2 * T + 1)]
+    assert [blockwise.grant(True) for _ in range(2 * T + 1)] == tail
 
 
 @given(
