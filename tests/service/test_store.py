@@ -236,17 +236,20 @@ class TestListing:
         assert [r["run_id"] for r in store.query()] == ids
         assert [r["run_id"] for r in store.query(limit=2, offset=1)] == ids[1:3]
         assert [r["run_id"] for r in store.query(state="done")] == [ids[3]]
-        assert store.count() == 4
-        assert store.count(state="queued") == 3
-        assert store.count(name="list-1") == 1
+        assert store.page()[1] == 4
+        assert store.page(state="queued")[1] == 3
+        assert store.page(name="list-1")[1] == 1
 
     def test_count(self, store, ids):
         store.set_state(ids[0], "failed", error="boom")
-        assert store.count() == 4
-        assert store.count(state="queued") == 3
-        assert store.count(state="failed") == 1
-        assert store.count(name="list-0") == 1
-        assert store.count(name="nope") == 0
+        assert store.page()[1] == 4
+        assert store.page(state="queued")[1] == 3
+        assert store.page(state="failed")[1] == 1
+        assert store.page(name="list-0")[1] == 1
+        assert store.page(name="nope")[1] == 0
+        # the total counts every match, whatever the page holds
+        rows, total = store.page(state="queued", limit=1, offset=1)
+        assert [r["run_id"] for r in rows] == [ids[2]] and total == 3
 
     def test_failures_newest_registered_first(self, store, ids):
         store.set_state(ids[2], "quarantined", error="poison")
@@ -266,7 +269,7 @@ class TestListing:
         torn = store.run_dir(ids[1]) / "manifest.json"
         torn.write_text(torn.read_text()[:20])
         assert [r["run_id"] for r in store.query()] == [ids[0], ids[2], ids[3]]
-        assert store.count() == 3
+        assert store.page()[1] == 3
         assert store.failures() == []
 
     def test_resubmission_completes_a_cut_registration(self, store):
