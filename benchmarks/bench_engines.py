@@ -20,7 +20,12 @@ injection and auditing disabled (``faults=None`` / ``faults=NO_FAULTS``,
 ``is not None`` guards per slot, and the median per-pair difference
 between the two disabled call shapes must stay within 2% (5% in
 ``--smoke`` mode).  The shard-supervision gate is measured the same way
-(:func:`_paired_overhead`).
+(:func:`_paired_overhead`): ``run_cells_sharded(..., jobs=1)`` on the
+block supervisor against a plain loop over the same ``blocks_for``
+rep-blocks.  Two throughput floors hold the vectorized faithful engine
+to the scalar faithful engine on the same model, one per policy layout:
+shared columns (strong-CD LESK) and per-station columns (weak-CD
+Notification).
 """
 
 from __future__ import annotations
@@ -40,7 +45,11 @@ from repro.adversary.vector import make_batched_adversary
 from repro.core.config import ElectionConfig, default_slot_budget
 from repro.core.election import make_protocol_stations
 from repro.protocols.lesk import LESKPolicy
-from repro.protocols.vector import VectorLESKPolicy, VectorLESUPolicy
+from repro.protocols.vector import (
+    VectorLESKPolicy,
+    VectorLESUPolicy,
+    VectorNotificationPolicy,
+)
 from repro.resilience.faults import NO_FAULTS
 from repro.sim.batched import simulate_uniform_batched
 from repro.sim.engine import simulate_stations
@@ -79,10 +88,18 @@ SMOKE_RESILIENCE_GATE_PCT = 5.0
 #: feedback is batched-side-only work).
 ADAPTIVE_SPEEDUP_FLOOR = 4.0
 #: Minimum vectorized-faithful/scalar-faithful throughput ratio at n=512
-#: (the fidelity-gap closure this engine exists for), and its relaxed CI
-#: smoke floor.
+#: on strong-CD LESK, where the stations of a replication share one policy
+#: column (the fidelity-gap closure this engine exists for), and its
+#: relaxed CI smoke floor.
 VECTORIZED_SPEEDUP_FLOOR = 50.0
 SMOKE_VECTORIZED_SPEEDUP_FLOOR = 25.0
+#: The same ratio for the per-station layout (one policy column per
+#: station: weak CD, churn and skew), on weak-CD Notification at n=512.
+#: Three runs on a 2-vCPU Xeon VM read 84-110x at R=32 and 47-55x at the
+#: smoke width R=8; the floor is under half the lowest full-width reading,
+#: and the smoke floor half of that.
+PER_STATION_SPEEDUP_FLOOR = 40.0
+SMOKE_PER_STATION_SPEEDUP_FLOOR = 20.0
 #: Minimum megakernel/batched throughput ratio on the heavy-jamming
 #: oblivious LESK workload (the ``batched-heavy`` row), and its relaxed CI
 #: smoke floor.  The batched engine always compacts and draws at the live
@@ -270,7 +287,7 @@ def test_megakernel_vs_batched_throughput():
 
 
 def test_vectorized_faithful_engine_lesk(benchmark):
-    """R=16 faithful replications advanced as an (R, n) matrix."""
+    """R=16 strong-CD faithful replications, one policy column each."""
 
     def run():
         return simulate_stations_vectorized(
@@ -432,8 +449,9 @@ def measure_throughput(reps: int = 64, repeats: int = 3) -> dict:
         "slots_per_sec": round(slots / elapsed, 1),
     }
 
-    # Vectorized faithful: the same per-station model as the scalar
-    # faithful row, advanced as an (R, n) matrix -- the row pair the
+    # Vectorized faithful on the scalar faithful row's model: strong-CD
+    # LESK without faults, where the n stations of a replication hear the
+    # same feedback and share one policy column -- the row pair the
     # >= 50x fidelity-gap gate compares.
     vec_reps = max(4, reps // 2)
 
@@ -450,6 +468,48 @@ def measure_throughput(reps: int = 64, repeats: int = 3) -> dict:
     elapsed, batch = best_of(vectorized_call, repeats)
     batch_slots = int(batch.slots.sum())
     results["vectorized-faithful"] = {
+        "reps": vec_reps,
+        "slots": batch_slots,
+        "seconds": round(elapsed, 6),
+        "slots_per_sec": round(batch_slots / elapsed, 1),
+    }
+
+    # The per-station pair: weak-CD Notification (T6, A9), where a
+    # replication's stations hear different feedback, so the vectorized
+    # engine steps one policy column per station, against the scalar
+    # faithful engine on the same model (one run: ~2.5 s at n=512).
+    def faithful_weak_loop():
+        config = ElectionConfig(n=N, protocol="lewk", eps=EPS, T=T)
+        return simulate_stations(
+            make_protocol_stations(config),
+            adversary=make_adversary("saturating", T=T, eps=EPS),
+            cd_mode=CDMode.WEAK,
+            max_slots=200_000,
+            seed=0,
+        ).slots
+
+    elapsed, slots = best_of(faithful_weak_loop, repeats)
+    results["faithful-weak"] = {
+        "reps": 1,
+        "slots": int(slots),
+        "seconds": round(elapsed, 6),
+        "slots_per_sec": round(slots / elapsed, 1),
+    }
+
+    def per_station_call():
+        return simulate_stations_vectorized(
+            lambda w: VectorNotificationPolicy(lambda x: VectorLESKPolicy(EPS, x), w),
+            N,
+            lambda r: make_batched_adversary("saturating", T=T, eps=EPS, reps=r),
+            reps=vec_reps,
+            max_slots=200_000,
+            root_seed=11,
+            cd_mode=CDMode.WEAK,
+        )
+
+    elapsed, batch = best_of(per_station_call, repeats)
+    batch_slots = int(batch.slots.sum())
+    results["vectorized-per-station"] = {
         "reps": vec_reps,
         "slots": batch_slots,
         "seconds": round(elapsed, 6),
@@ -685,20 +745,26 @@ def measure_resilience_overhead(reps: int = 48, pairs: int = 101) -> dict:
 
 
 def measure_shard_supervision_overhead(reps: int = 64, pairs: int = 101) -> dict:
-    """Time the supervised shard scheduler against a plain loop.
+    """Time the supervised sharded path against a plain loop.
 
     Both sides run in-process on identical LESK cells: the baseline calls
-    ``run_shard`` on every ``(spec, block_index, block_reps)`` item in a
-    plain loop and regroups the results; the supervised side runs the same
-    items through ``ShardedScheduler(jobs=1)``.  The measured difference is
-    pure supervision accounting (task state machine, retry bookkeeping,
-    per-execution telemetry scoping) with no process-spawn noise --
-    exactly what the <= 2% supervised-overhead contract constrains.  Each
-    sample is the CPU time of one sweep, and the gate reads the median
-    per-pair overhead (:func:`_paired_overhead`).
+    ``run_shard`` on every ``(spec, block_index, block_reps)`` item of the
+    ``blocks_for`` partition in a plain loop and regroups the results; the
+    supervised side runs the same specs through
+    ``run_cells_sharded(..., jobs=1, block_size=16)`` on the block
+    supervisor.  The measured difference is pure supervision accounting
+    (task state machine, retry bookkeeping, per-execution telemetry
+    scoping) with no process-spawn noise -- exactly what the <= 2%
+    supervised-overhead contract constrains.  Each sample is the CPU time
+    of one sweep, and the gate reads the median per-pair overhead
+    (:func:`_paired_overhead`).
     """
-    from repro.experiments.cells import CellSpec, run_shard
-    from repro.experiments.harness import ShardedScheduler
+    from repro.experiments.cells import (
+        CellSpec,
+        blocks_for,
+        run_cells_sharded,
+        run_shard,
+    )
 
     specs = [
         CellSpec(
@@ -707,13 +773,12 @@ def measure_shard_supervision_overhead(reps: int = 64, pairs: int = 101) -> dict
         )
         for i in range(2)
     ]
-    scheduler = ShardedScheduler(jobs=1, block_size=16)
 
     def sweep(supervised: bool):
         if supervised:
-            return scheduler.run(run_shard, specs)
+            return run_cells_sharded(specs, jobs=1, block_size=16)
         return [
-            [r for b, size in enumerate(scheduler.blocks_for(spec.reps))
+            [r for b, size in enumerate(blocks_for(spec.reps, 16))
              for r in run_shard((spec, b, size))[0]]
             for spec in specs
         ]
@@ -897,6 +962,24 @@ def main(argv: list[str] | None = None) -> int:
         f"(floor {vectorized_floor:.0f}x)"
     )
 
+    per_station_floor = (
+        SMOKE_PER_STATION_SPEEDUP_FLOOR if args.smoke else PER_STATION_SPEEDUP_FLOOR
+    )
+    per_station_speedup = (
+        results["vectorized-per-station"]["slots_per_sec"]
+        / results["faithful-weak"]["slots_per_sec"]
+    )
+    results["per_station_gate"] = {
+        "speedup": round(per_station_speedup, 2),
+        "floor": per_station_floor,
+        "vs": "faithful-weak",
+        "smoke": args.smoke,
+    }
+    print(
+        f"vectorized per-station speedup: {per_station_speedup:.1f}x "
+        f"(floor {per_station_floor:.0f}x, weak-CD Notification)"
+    )
+
     megakernel_floor = (
         SMOKE_MEGAKERNEL_SPEEDUP_FLOOR
         if args.smoke
@@ -966,6 +1049,17 @@ def main(argv: list[str] | None = None) -> int:
         failed = True
     else:
         print("vectorized-faithful gate passed")
+    if per_station_speedup < per_station_floor:
+        print(
+            f"GATE FAILED: vectorized per-station layout only "
+            f"{per_station_speedup:.1f}x faster than the scalar faithful "
+            f"engine on weak-CD Notification; floor is "
+            f"{per_station_floor:.0f}x",
+            file=sys.stderr,
+        )
+        failed = True
+    else:
+        print("vectorized per-station gate passed")
     if megakernel_speedup < megakernel_floor:
         print(
             f"GATE FAILED: megakernel only {megakernel_speedup:.1f}x "

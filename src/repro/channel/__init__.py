@@ -6,7 +6,7 @@ from a collision, and per-CD-mode feedback delivery.
 """
 
 from repro.channel.channel import Channel, SlotOutcome, resolve_slot
-from repro.channel.faulty import FaultyChannel, corrupt_observed
+from repro.channel.faulty import corrupt_observed
 from repro.channel.feedback import feedback_for, perceived_by_listener
 from repro.channel.trace import ChannelTrace, SlotRecord
 
@@ -14,7 +14,6 @@ __all__ = [
     "Channel",
     "SlotOutcome",
     "resolve_slot",
-    "FaultyChannel",
     "corrupt_observed",
     "feedback_for",
     "perceived_by_listener",

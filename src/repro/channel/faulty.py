@@ -1,11 +1,10 @@
-"""Fault-injecting wrapper over the pristine channel substrate.
+"""Feedback corruption on top of the pristine channel substrate.
 
 :func:`corrupt_observed` is the single point where the fault model's
 observation-layer corruption (:class:`repro.resilience.faults.SlotFaults`)
-rewrites what listeners hear; :class:`FaultyChannel` packages it with
-:func:`resolve_slot` for step-by-step use.  The engines call
-:func:`resolve_slot` + :func:`corrupt_observed` directly on their hot paths,
-so both entry points share identical semantics:
+rewrites what listeners hear.  The engines call
+:func:`~repro.channel.channel.resolve_slot` + :func:`corrupt_observed`
+directly on their hot paths:
 
 * **erase** -- nobody hears the slot; feedback is withheld entirely
   (returned as ``None``), so even a successful Single goes unnoticed and
@@ -25,10 +24,9 @@ identical.
 
 from __future__ import annotations
 
-from repro.channel.channel import SlotOutcome, resolve_slot
 from repro.types import ChannelState
 
-__all__ = ["corrupt_observed", "FaultyChannel"]
+__all__ = ["corrupt_observed"]
 
 _FLIP = {
     ChannelState.NULL: ChannelState.COLLISION,
@@ -52,54 +50,3 @@ def corrupt_observed(observed: ChannelState, flags) -> "ChannelState | None":
         observed = _FLIP[observed]
     return observed
 
-
-class FaultyChannel:
-    """Stateful channel that passes outcomes through a fault realization.
-
-    Wraps the pristine :class:`~repro.channel.channel.Channel` semantics:
-    each :meth:`step` resolves the slot physically, then asks the realized
-    fault schedule for this slot's corruption flags and rewrites the
-    observation.  Mirrors ``Channel.step`` for exploration and tests; the
-    engines inline the same two calls.
-    """
-
-    def __init__(self, realized) -> None:
-        #: :class:`repro.resilience.faults.RealizedFaults` driving corruption.
-        self.realized = realized
-        self._slot = 0
-        self._last: SlotOutcome | None = None
-        self._last_observed: ChannelState | None = None
-
-    @property
-    def slot(self) -> int:
-        """Index of the next slot to be resolved."""
-        return self._slot
-
-    @property
-    def last_outcome(self) -> SlotOutcome | None:
-        """Physical (pre-corruption) outcome of the last resolved slot."""
-        return self._last
-
-    @property
-    def last_observed(self) -> "ChannelState | None":
-        """Post-corruption observation of the last slot (None if erased)."""
-        return self._last_observed
-
-    def step(self, transmitters: int, jammed: bool = False) -> "ChannelState | None":
-        """Resolve the next slot, apply corruption, and advance time.
-
-        Returns the corrupted observation (``None`` when erased); the
-        physical outcome remains available via :attr:`last_outcome`.
-        """
-        outcome = resolve_slot(self._slot, transmitters, jammed)
-        flags = self.realized.begin_slot(self._slot, self.realized.awake_count(self._slot))
-        self._slot += 1
-        self._last = outcome
-        self._last_observed = corrupt_observed(outcome.observed_state, flags)
-        return self._last_observed
-
-    def reset(self) -> None:
-        """Rewind to slot 0 (the fault realization is *not* re-drawn)."""
-        self._slot = 0
-        self._last = None
-        self._last_observed = None

@@ -45,6 +45,10 @@ __all__ = [
     "failing_writes",
     "table_payload",
     "payload_checksum",
+    "save_checked_table",
+    "load_checked_table",
+    "write_table_outputs",
+    "read_journal",
     "corrupt_checkpoint",
     "build_manifest",
     "cli_invocation",
@@ -114,6 +118,69 @@ def table_payload(table: Table) -> str:
 def payload_checksum(payload: str) -> str:
     """SHA-256 hex digest of a canonical payload string."""
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def save_checked_table(path: Path, table: Table) -> str:
+    """Atomically write ``{"checksum", "table"}`` JSON for *table* to
+    *path*; returns the checksum."""
+    payload = table_payload(table)
+    digest = payload_checksum(payload)
+    atomic_write_text(
+        path,
+        json.dumps(
+            {"checksum": digest, "table": json.loads(payload)},
+            sort_keys=True,
+            separators=(",", ":"),
+        ),
+    )
+    return digest
+
+
+def load_checked_table(path: Path, missing: str) -> Table:
+    """Read a :func:`save_checked_table` file back, verifying its checksum.
+
+    Raises :class:`ConfigurationError` with the message *missing* when the
+    file does not exist, and :class:`ChecksumMismatchError` when it is not
+    JSON or its table no longer matches the stored checksum.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise ConfigurationError(missing) from exc
+    except json.JSONDecodeError as exc:
+        raise ChecksumMismatchError(
+            f"table {path} is not valid JSON ({exc})"
+        ) from exc
+    table = Table.from_jsonable(data["table"])
+    digest = payload_checksum(table_payload(table))
+    if digest != data.get("checksum"):
+        raise ChecksumMismatchError(
+            f"table {path} failed integrity verification "
+            f"(stored {data.get('checksum')!r}, recomputed {digest!r})"
+        )
+    return table
+
+
+def write_table_outputs(root: Path, table: Table) -> None:
+    """Write the rendered ``NAME.txt`` / ``NAME.csv`` files atomically."""
+    atomic_write_text(Path(root) / f"{table.name}.txt", table.render() + "\n")
+    atomic_write_text(Path(root) / f"{table.name}.csv", table.to_csv() + "\n")
+
+
+def read_journal(path: Path) -> list[dict]:
+    """All parseable records of a JSONL journal (a torn final line is
+    skipped: a kill mid-append leaves one)."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except FileNotFoundError:
+        return []
+    records = []
+    for line in lines:
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            continue
+    return records
 
 
 @functools.cache
@@ -307,17 +374,7 @@ class RunDir:
 
     def read_journal(self) -> list[dict]:
         """All parseable journal records (a torn final line is skipped)."""
-        try:
-            lines = self.journal_path.read_text().splitlines()
-        except FileNotFoundError:
-            return []
-        records = []
-        for line in lines:
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn tail after a kill; the checkpoint files rule
-        return records
+        return read_journal(self.journal_path)
 
     # -- checkpoints -------------------------------------------------------
 
@@ -331,43 +388,21 @@ class RunDir:
 
     def save_table(self, table: Table) -> str:
         """Atomically checkpoint a finished table; returns its checksum."""
-        payload = table_payload(table)
-        digest = payload_checksum(payload)
         path = self.checkpoint_path(table.name)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            path, json.dumps({"checksum": digest, "table": json.loads(payload)},
-                             sort_keys=True, separators=(",", ":"))
-        )
-        return digest
+        return save_checked_table(path, table)
 
     def load_table(self, exp_id: str) -> Table:
         """Load and integrity-check one checkpointed table.
 
         Raises :class:`ChecksumMismatchError` when the stored digest does
-        not match the payload, and :class:`ConfigurationError` when the file
-        is missing or not JSON.
+        not match the payload or the file is not JSON, and
+        :class:`ConfigurationError` when the file is missing.
         """
-        path = self.checkpoint_path(exp_id)
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"no checkpoint for {exp_id} in {self.root}") from exc
-        except json.JSONDecodeError as exc:
-            raise ChecksumMismatchError(
-                f"checkpoint {path} is not valid JSON ({exc}); recompute it"
-            ) from exc
-        table = Table.from_jsonable(data["table"])
-        digest = payload_checksum(table_payload(table))
-        if digest != data.get("checksum"):
-            raise ChecksumMismatchError(
-                f"checkpoint {path} failed integrity verification "
-                f"(stored {data.get('checksum')!r}, recomputed {digest!r}); "
-                "recompute it"
-            )
-        return table
+        return load_checked_table(
+            self.checkpoint_path(exp_id), f"no checkpoint for {exp_id} in {self.root}"
+        )
 
     def write_outputs(self, table: Table) -> None:
         """Write the rendered ``ID.txt`` / ``ID.csv`` files atomically."""
-        atomic_write_text(self.root / f"{table.name}.txt", table.render() + "\n")
-        atomic_write_text(self.root / f"{table.name}.csv", table.to_csv() + "\n")
+        write_table_outputs(self.root, table)

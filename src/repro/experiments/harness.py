@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -25,7 +24,7 @@ import numpy as np
 from repro.analysis.estimators import wilson_interval
 from repro.errors import ConfigurationError
 from repro.rng import derive_seed
-from repro.telemetry import ENERGY_BUCKETS, SLOT_BUCKETS, Telemetry, get_telemetry
+from repro.telemetry import ENERGY_BUCKETS, SLOT_BUCKETS, get_telemetry
 from repro.types import CDMode
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "replicate_megakernel",
     "replicate_vectorized",
     "record_engine_fallback",
-    "ShardedScheduler",
     "SHARD_BLOCK_TAG",
     "summarize_times",
     "preset_value",
@@ -377,156 +375,6 @@ def record_engine_fallback(component: str, reason: str) -> None:
 SHARD_BLOCK_TAG = 7_000_001
 
 
-class ShardedScheduler:
-    """Chunk ``(cell x rep-block)`` work units onto supervised workers.
-
-    The scheduler cuts every spec's repetitions into fixed-size blocks
-    (``block_size``; the partition depends only on ``reps``, never on the
-    worker count) and regroups the per-block result lists in block order,
-    so the returned per-spec lists are identical for any ``jobs``
-    (``jobs=1`` runs the worker in-process).  Workers return ``(results,
-    telemetry_jsonable | None)``; each block's telemetry shard is merged
-    into the caller's live sink exactly once.
-
-    Blocks execute through the block-level supervisor
-    (:class:`repro.experiments.shard_supervisor.BlockSupervisor`):
-    per-block deadlines with kill-on-timeout, worker death detection and
-    re-dispatch, bounded seeded-backoff retry, poison-block quarantine
-    (``keep_going``), straggler speculation, and atomic block checkpoints
-    (``checkpoint_dir``).  Each :meth:`run` starts and stops its own
-    workers; the context-manager form is kept for callers' scoping:
-
-    >>> with ShardedScheduler(jobs=4) as sched:           # doctest: +SKIP
-    ...     tables = sched.run(run_shard, specs_a)
-    ...     more = sched.run(run_shard, specs_b)
-    """
-
-    def __init__(
-        self,
-        jobs: int | None = None,
-        block_size: int = 64,
-        *,
-        retry=None,
-        block_timeout: float | None = None,
-        keep_going: bool = False,
-        speculate: bool = True,
-        checkpoint_dir=None,
-        fault_plan=None,
-    ) -> None:
-        from repro.experiments.parallel import default_jobs
-        from repro.experiments.retry import RetryPolicy
-        from repro.experiments.shard_supervisor import SupervisionConfig
-
-        if block_size < 1:
-            raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-        self.block_size = int(block_size)
-        self.checkpoint_dir = checkpoint_dir
-        self.config = SupervisionConfig(
-            jobs=default_jobs() if jobs is None else int(jobs),
-            retry=retry if retry is not None else RetryPolicy(),
-            block_timeout=block_timeout,
-            keep_going=bool(keep_going),
-            speculate=bool(speculate),
-            fault_plan=fault_plan,
-        )
-
-    def __enter__(self) -> "ShardedScheduler":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-    def blocks_for(self, reps: int) -> list[int]:
-        """The fixed rep-block partition of *reps* (jobs-independent)."""
-        if reps < 1:
-            raise ConfigurationError(f"reps must be >= 1, got {reps}")
-        full, rest = divmod(reps, self.block_size)
-        return [self.block_size] * full + ([rest] if rest else [])
-
-    def _items_for(self, specs: Sequence):
-        """Per-block ``(spec_index, block_index, (spec, block_index,
-        block_reps))`` units, plus each spec's unit indices."""
-        units: list[tuple] = []
-        groups: list[range] = []
-        for spec_index, spec in enumerate(specs):
-            blocks = self.blocks_for(spec.reps)
-            groups.append(range(len(units), len(units) + len(blocks)))
-            units += [(spec_index, b, (spec, b, reps)) for b, reps in enumerate(blocks)]
-        return units, groups
-
-    def run(self, worker: Callable, specs: Sequence) -> list[list]:
-        """Run *worker* over every spec's rep-blocks; one result list per spec.
-
-        ``worker`` takes ``(spec, block_index, block_reps)`` and returns
-        ``(list_of_results, telemetry_jsonable | None)``.  It must be a
-        module-level function when ``jobs > 1`` (worker dispatch pickles
-        by reference).
-        """
-        merged, _shards, _report = self.run_report(
-            worker, specs, collect_spec_shards=False
-        )
-        return merged
-
-    def run_report(
-        self,
-        worker: Callable,
-        specs: Sequence,
-        *,
-        collect_spec_shards: bool = True,
-    ):
-        """Supervised run returning ``(merged, spec_shards, report)``.
-
-        ``spec_shards[i]`` is a :class:`~repro.telemetry.Telemetry` built
-        from spec *i*'s block shards (None when the blocks carried no
-        telemetry -- e.g. restored from checkpoint, which stores results
-        only), letting callers read per-spec counters the way a scoped
-        ``telemetry.collecting()`` would.  ``report`` is the supervisor's
-        :class:`~repro.experiments.shard_supervisor.ShardReport`; with
-        ``keep_going`` quarantined blocks leave their spec's result list
-        short and are itemized there.
-
-        ``collect_spec_shards=False`` skips rebuilding the per-spec
-        telemetry views (every slot stays None); the global-sink merge in
-        the supervisor is unaffected.  :meth:`run` uses this -- decoding
-        every block's telemetry only to discard it is where the supervised
-        path would otherwise lose its overhead budget.
-        """
-        from repro.experiments.shard_supervisor import (
-            BlockCheckpointStore,
-            BlockSupervisor,
-        )
-
-        units, groups = self._items_for(specs)
-        store = (
-            BlockCheckpointStore(self.checkpoint_dir)
-            if self.checkpoint_dir is not None
-            else None
-        )
-        supervisor = BlockSupervisor(worker, self.config, store)
-        payloads, report = supervisor.run(units, self.block_size)
-
-        merged: list[list] = []
-        spec_shards: list[Telemetry | None] = []
-        for idxs in groups:
-            spec_results: list = []
-            shard: Telemetry | None = None
-            for i in idxs:
-                payload = payloads[i]
-                if payload is None:
-                    continue  # quarantined under keep_going
-                results, tel_json = payload
-                spec_results.extend(results)
-                if collect_spec_shards and tel_json:
-                    block_tel = Telemetry.from_jsonable(tel_json)
-                    if shard is None:
-                        shard = block_tel
-                    else:
-                        shard.merge(block_tel)
-            merged.append(spec_results)
-            spec_shards.append(shard)
-        return merged, spec_shards, report
-
-
 def _record_cell(results: Sequence, path: tuple) -> None:
     """Aggregate one table cell's run results into per-cell histograms.
 
@@ -585,11 +433,6 @@ def summarize_times(
         "p90_slots": float(np.quantile(slots, 0.9)),
         "max_slots": float(slots.max()),
     }
-
-
-def log2_or_nan(x: float) -> float:
-    """log2(x), or NaN for non-positive x (plot-friendly)."""
-    return math.log2(x) if x > 0 else math.nan
 
 
 def render_tables(tables: Iterable[Table]) -> str:

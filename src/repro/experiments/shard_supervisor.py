@@ -259,13 +259,15 @@ class BlockCheckpointStore:
 
         Raises :class:`~repro.errors.ConfigurationError` when the results
         are not JSON-serializable run results (the supervisor then runs
-        uncheckpointed for the rest of the sweep).
+        uncheckpointed for the rest of the sweep).  Only the store's own
+        directory is created: when its parent (a run directory) is gone,
+        the save raises :class:`FileNotFoundError` instead of recreating it.
         """
         from repro.experiments.checkpoint import atomic_write_text
 
         jsonable = [r.to_jsonable() for r in results]
         digest = _results_checksum(jsonable)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root.mkdir(exist_ok=True)
         atomic_write_text(
             self._path(key),
             json.dumps(

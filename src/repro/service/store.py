@@ -60,8 +60,11 @@ from repro.experiments.checkpoint import (
     SHARD_SUBDIR,
     atomic_write_text,
     build_manifest,
-    payload_checksum,
+    load_checked_table,
+    read_journal,
+    save_checked_table,
     table_payload,
+    write_table_outputs,
 )
 from repro.experiments.harness import Column, Table, summarize_times
 from repro.service.scenario import (
@@ -411,17 +414,7 @@ class RunStore:
 
     def journal(self, run_id: str) -> list[dict]:
         """All parseable journal records (torn tail skipped)."""
-        try:
-            lines = (self.run_dir(run_id) / JOURNAL_NAME).read_text().splitlines()
-        except FileNotFoundError:
-            return []
-        records = []
-        for line in lines:
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-        return records
+        return read_journal(self.run_dir(run_id) / JOURNAL_NAME)
 
     # -- cooperative cancellation (crosses process boundaries) --------------
 
@@ -475,20 +468,10 @@ class RunStore:
 
     def save_table(self, run_id: str, table: Table) -> str:
         """Checksum and store the run's result table; returns the digest."""
-        payload = table_payload(table)
-        digest = payload_checksum(payload)
         root = self.run_dir(run_id)
         (root / TABLES_SUBDIR).mkdir(exist_ok=True)
-        atomic_write_text(
-            root / TABLES_SUBDIR / f"{table.name}.json",
-            json.dumps(
-                {"checksum": digest, "table": json.loads(payload)},
-                sort_keys=True,
-                separators=(",", ":"),
-            ),
-        )
-        atomic_write_text(root / f"{table.name}.txt", table.render() + "\n")
-        atomic_write_text(root / f"{table.name}.csv", table.to_csv() + "\n")
+        digest = save_checked_table(root / TABLES_SUBDIR / f"{table.name}.json", table)
+        write_table_outputs(root, table)
         return digest
 
     def load_table(self, run_id: str) -> Table:
@@ -498,24 +481,9 @@ class RunStore:
         payload -- the tamper detection the CI service smoke exercises.
         """
         path = self.run_dir(run_id) / TABLES_SUBDIR / f"{TABLE_NAME}.json"
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise ConfigurationError(
-                f"run {run_id} has no stored result table ({path})"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise ChecksumMismatchError(
-                f"stored table {path} is not valid JSON ({exc})"
-            ) from exc
-        table = Table.from_jsonable(data["table"])
-        digest = payload_checksum(table_payload(table))
-        if digest != data.get("checksum"):
-            raise ChecksumMismatchError(
-                f"stored table {path} failed integrity verification "
-                f"(stored {data.get('checksum')!r}, recomputed {digest!r})"
-            )
-        return table
+        return load_checked_table(
+            path, f"run {run_id} has no stored result table ({path})"
+        )
 
     def serve_table(self, run_id: str) -> Table:
         """Verify-on-read: integrity-check the table, quarantining on failure.

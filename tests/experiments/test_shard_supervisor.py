@@ -26,7 +26,6 @@ from repro.experiments.cells import (
     run_shard,
 )
 from repro.experiments.faults import FaultPlan
-from repro.experiments.harness import ShardedScheduler
 from repro.experiments.retry import RetryPolicy
 from repro.experiments.shard_supervisor import (
     BlockCheckpointStore,

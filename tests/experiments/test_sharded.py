@@ -1,4 +1,5 @@
-"""Tests for the sharded sweep scheduler (ShardedScheduler + CellSpec).
+"""Tests for sharded cells: CellSpec, the rep-block partition
+(``blocks_for``) and ``run_cells_sharded`` on the block supervisor.
 
 The determinism law: the rep-block partition and per-block seeds depend
 only on ``(reps, block_size)`` and the spec's seed path -- never on the
@@ -20,12 +21,13 @@ from repro.errors import ConfigurationError
 from repro.experiments import harness
 from repro.experiments.cells import (
     CellSpec,
+    blocks_for,
     cell_slot_budget,
     lesk_cell,
     lesu_cell,
     run_cells_sharded,
 )
-from repro.experiments.harness import ShardedScheduler, record_engine_fallback
+from repro.experiments.harness import record_engine_fallback
 
 SPECS = [
     CellSpec(
@@ -57,30 +59,25 @@ class TestDeterminism:
             assert all(r.n == spec.n for r in results)
 
     def test_block_partition(self):
-        with ShardedScheduler(jobs=1, block_size=16) as sched:
-            assert sched.blocks_for(40) == [16, 16, 8]
-            assert sched.blocks_for(16) == [16]
-            assert sched.blocks_for(3) == [3]
+        assert blocks_for(40, 16) == [16, 16, 8]
+        assert blocks_for(16, 16) == [16]
+        assert blocks_for(3, 16) == [3]
 
     def test_block_partition_edge_cases(self):
-        with ShardedScheduler(jobs=1, block_size=1) as unit:
-            assert unit.blocks_for(1) == [1]
-            assert unit.blocks_for(5) == [1] * 5
-        with ShardedScheduler(jobs=1, block_size=16) as sched:
-            assert sched.blocks_for(1) == [1]
-            assert sched.blocks_for(17) == [16, 1]  # remainder of one
-            assert sched.blocks_for(15) == [15]  # single short block
-            assert sched.blocks_for(48) == [16, 16, 16]  # exact multiple
-        with ShardedScheduler(jobs=1, block_size=10**6) as huge:
-            assert huge.blocks_for(7) == [7]  # block_size >> reps
+        assert blocks_for(1, 1) == [1]
+        assert blocks_for(5, 1) == [1] * 5
+        assert blocks_for(1, 16) == [1]
+        assert blocks_for(17, 16) == [16, 1]  # remainder of one
+        assert blocks_for(15, 16) == [15]  # single short block
+        assert blocks_for(48, 16) == [16, 16, 16]  # exact multiple
+        assert blocks_for(7, 10**6) == [7]  # block_size >> reps
 
     def test_block_partition_covers_reps_exactly(self):
-        with ShardedScheduler(jobs=1, block_size=7) as sched:
-            for reps in range(1, 60):
-                blocks = sched.blocks_for(reps)
-                assert sum(blocks) == reps
-                assert all(b == 7 for b in blocks[:-1])
-                assert 1 <= blocks[-1] <= 7
+        for reps in range(1, 60):
+            blocks = blocks_for(reps, 7)
+            assert sum(blocks) == reps
+            assert all(b == 7 for b in blocks[:-1])
+            assert 1 <= blocks[-1] <= 7
 
     def test_scalar_and_batched_paths_shard_identically_in_law(self):
         """Sharding composes with either engine: same spec, scalar path,
@@ -137,12 +134,11 @@ class TestBlockSeedCollisionFreedom:
         from repro.experiments.cells import SHARD_BLOCK_TAG
 
         paths = set()
-        with ShardedScheduler(jobs=1, block_size=8) as sched:
-            for spec in self.SPECS:
-                for b, _ in enumerate(sched.blocks_for(spec.reps)):
-                    path = (spec.root_seed, *spec.path, SHARD_BLOCK_TAG, b)
-                    assert path not in paths
-                    paths.add(path)
+        for spec in self.SPECS:
+            for b, _ in enumerate(blocks_for(spec.reps, 8)):
+                path = (spec.root_seed, *spec.path, SHARD_BLOCK_TAG, b)
+                assert path not in paths
+                paths.add(path)
         assert len(paths) == 9  # 3 specs x 3 blocks
 
     def test_blocks_of_one_spec_produce_distinct_streams(self):
@@ -268,9 +264,11 @@ class TestValidation:
             )
 
     def test_bad_jobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardedScheduler(jobs=0)
+        with pytest.raises(ConfigurationError, match="jobs"):
+            run_cells_sharded(SPECS, jobs=0)
 
     def test_bad_block_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardedScheduler(block_size=0)
+        with pytest.raises(ConfigurationError, match="block_size"):
+            run_cells_sharded(SPECS, block_size=0)
+        with pytest.raises(ConfigurationError, match="block_size"):
+            blocks_for(8, 0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -172,8 +173,7 @@ class TestRestartRecovery:
     ):
         # A run whose directory is deleted while it runs: its worker's
         # failure reaches the dispatcher, which cannot journal it.  The
-        # hooks are called directly -- a live worker would recreate the
-        # directory for its own checkpoints.
+        # hooks are called directly, so the failure kind can be chosen.
         store = RunStore(tmp_path / "s")
         svc = JobService(store)
         gone = svc.submit(scen("vanish-running", seed=205))["run_id"]
@@ -188,6 +188,56 @@ class TestRestartRecovery:
         ) == 1
         assert [gone in r.getMessage() for r in caplog.records] == [True]
         assert svc.stats()["pending"] == 0
+
+    def test_run_deleted_while_running_is_dropped_once(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # The worker deletes the run's directory before the second of two
+        # cells (two blocks each); its next block checkpoint must fail
+        # instead of recreating runs/<id>/, and the dispatcher drops the
+        # run once.
+        from repro.service import store as store_module
+
+        execute_cell = store_module.run_cells_sharded_report
+        cells_started = []
+
+        def delete_before_second_cell(specs, **kwargs):
+            cells_started.append(specs[0].n)
+            if len(cells_started) == 2:
+                shutil.rmtree(Path(kwargs["checkpoint_dir"]).parent)
+            return execute_cell(specs, **kwargs)
+
+        monkeypatch.setattr(
+            store_module, "run_cells_sharded_report", delete_before_second_cell
+        )
+        store = RunStore(tmp_path / "s")
+        svc = JobService(store)
+        scenario = scenario_from_jsonable(
+            {
+                "scenario": "vanish-mid-run",
+                "schema": 1,
+                "seed": 206,
+                "grid": {"kind": ["lesk"], "n": [8, 16], "adversary": ["random"]},
+                "reps": 4,
+                "sharding": {"block_size": 2},
+            }
+        )
+        with collecting() as tel, caplog.at_level(logging.ERROR):
+            svc.start()
+            try:
+                gone = svc.submit(scenario)["run_id"]
+                deadline = time.monotonic() + 30.0
+                while svc.stats()["pending"] and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert svc.stats()["pending"] == 0
+            finally:
+                svc.stop(drain=True)
+        assert not store.run_dir(gone).exists()
+        assert store.status(gone) == {}
+        assert tel.metrics.counter_value(
+            "service_runs_dropped_total", reason="missing"
+        ) == 1
+        assert [gone in r.getMessage() for r in caplog.records] == [True]
 
     def test_stats_shape(self, tmp_path):
         svc = JobService(RunStore(tmp_path / "s"), queue_limit=5)

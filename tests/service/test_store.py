@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import time
 
 import pytest
@@ -129,6 +130,27 @@ class TestExecuteAndReplay:
         state = store.execute(record, should_cancel=lambda: next(calls))
         assert state == "cancelled"
         assert store.status(record.run_id)["state"] == "cancelled"
+
+    def test_run_deleted_mid_flight_is_not_recreated(self, store, scenario):
+        # Two cells of two blocks each: the directory vanishes after the
+        # first cell, so the second cell's first block checkpoint finds
+        # no run directory to write into.
+        record, _ = store.register(scenario)
+        polls = iter([False, True])
+        states = []
+
+        def delete_after_first_cell() -> bool:
+            states.append(store.status(record.run_id).get("state"))
+            if next(polls):
+                shutil.rmtree(record.root)
+            return False
+
+        with pytest.raises(FileNotFoundError):
+            store.execute(record, should_cancel=delete_after_first_cell)
+        assert states == ["running", "running"]
+        assert not record.root.exists()
+        assert store.status(record.run_id) == {}
+        assert store.run_ids() == []
 
     def test_interrupted_run_resumes_from_block_checkpoints(
         self, store, scenario

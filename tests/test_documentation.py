@@ -3,12 +3,14 @@
 The reproduction promises doc comments on every public item; this test
 walks the package and asserts every module, public class and public
 function carries a non-trivial docstring.  The prose docs are held to the
-tree too: every repository path they name in backquotes must exist.
+tree too: every repository path they name in backquotes must exist, and so
+is the benchmark's tracer: every entry point it wraps by name must exist.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
@@ -144,3 +146,28 @@ def test_documented_paths_exist(doc):
     }
     stale = sorted(p for p in named - _RUN_OUTPUTS if not (ROOT / p).exists())
     assert not stale, f"{doc} names paths that do not exist: {stale}"
+
+
+def test_tracer_layers_resolve():
+    """``e2ebench/tracer.py`` wraps entry points by module and attribute
+    name as their modules load, so a renamed entry point breaks
+    ``e2ebench/run.py --trace 1``.  Every name it lists must resolve, and
+    so must the module whose vector policies it wraps."""
+    spec = importlib.util.spec_from_file_location(
+        "e2ebench_tracer", ROOT / "e2ebench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    entries, missing = 0, []
+    for _layer, module_name, attrs in tracer.LAYERS:
+        module = importlib.import_module(module_name)
+        for attr in attrs:
+            entries += 1
+            target = module
+            for part in attr.split("."):
+                target = getattr(target, part, None)
+            if not callable(target):
+                missing.append(f"{module_name}.{attr}")
+    assert entries > 0
+    assert not missing, f"tracer layers that no longer resolve: {missing}"
+    importlib.import_module(tracer.POLICY_MODULE)
