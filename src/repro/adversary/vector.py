@@ -128,22 +128,47 @@ class VectorJammingStrategy(abc.ABC):
         surviving columns' want-streams are unchanged.
         """
 
-    def want_schedule(self, start: int, count: int) -> np.ndarray | None:
+    def want_schedule(
+        self, start: int, count: int, view: BatchAdversaryView | None = None
+    ) -> np.ndarray | None:
         """Per-slot want flags for slots ``start .. start+count-1``, or
         ``None`` when the want sequence cannot be precomputed.
 
+        *view*, when given, holds the protocol state those slots will show
+        every live replication, laid out along the slot axis: entry ``i``
+        of its ``transmit_probabilities`` and ``protocol_u`` belongs to
+        slot ``start + i`` (and ``view.reps == count``).  An engine can
+        offer one when all live replications share one state sequence
+        that is a pure function of the slot index (the slot-blocked
+        megakernel's sweep, no-CD sweep and Estimation ladders).
+
         Oblivious strategies whose want is a pure function of the slot
         index (identical across replications, independent of protocol
-        state, history and the adversary RNG) override this to return a
-        ``(count,)`` boolean array; the slot-blocked megakernel uses it to
-        precompute a whole block's jam grants in one pass.  The
-        conservative default ``None`` keeps unknown, randomized and
-        history-conditioned strategies on the per-slot path.
+        state, history and the adversary RNG) ignore *view* and return a
+        ``(count,)`` boolean array; adaptive strategies whose want is an
+        elementwise function of that state apply their
+        :meth:`wants_jam_batch` rule to *view*, and return ``None``
+        without one.  The megakernel uses the flags to precompute a whole
+        block's jam grants in one pass.  The conservative default ``None``
+        keeps unknown, randomized and history-conditioned strategies on
+        the per-slot path.
         """
         return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+class _StateWantMixin:
+    """Want schedule of a strategy whose want is an elementwise function of
+    the protocol state in its view (no RNG, no history): its
+    :meth:`~VectorJammingStrategy.wants_jam_batch` rule, applied along the
+    slot axis of a shared-state view."""
+
+    def want_schedule(self, start, count, view=None):
+        if view is None:
+            return None
+        return self.wants_jam_batch(view, None)
 
 
 class _ConstantWantMixin:
@@ -179,7 +204,7 @@ class VectorNoJamming(_ConstantWantMixin, VectorJammingStrategy):
     def wants_jam_batch(self, view, rng):
         return self._want_mask(view.reps, False)
 
-    def want_schedule(self, start, count):
+    def want_schedule(self, start, count, view=None):
         return np.zeros(count, dtype=bool)
 
 
@@ -192,7 +217,7 @@ class VectorSaturatingJammer(_ConstantWantMixin, VectorJammingStrategy):
     def wants_jam_batch(self, view, rng):
         return self._want_mask(view.reps, True)
 
-    def want_schedule(self, start, count):
+    def want_schedule(self, start, count, view=None):
         return np.ones(count, dtype=bool)
 
 
@@ -215,7 +240,7 @@ class VectorPeriodicFrontJammer(_ConstantWantMixin, VectorJammingStrategy):
         want = (view.slot % self.T) < self.jam_prefix
         return self._want_mask(view.reps, want)
 
-    def want_schedule(self, start, count):
+    def want_schedule(self, start, count, view=None):
         return (np.arange(start, start + count) % self.T) < self.jam_prefix
 
 
@@ -275,7 +300,7 @@ class VectorBurstJammer(_ConstantWantMixin, VectorJammingStrategy):
         phase = (view.slot + self.offset) % (self.burst + self.gap)
         return self._want_mask(view.reps, phase < self.burst)
 
-    def want_schedule(self, start, count):
+    def want_schedule(self, start, count, view=None):
         phase = (np.arange(start, start + count) + self.offset) % (
             self.burst + self.gap
         )
@@ -288,7 +313,9 @@ class VectorBurstJammer(_ConstantWantMixin, VectorJammingStrategy):
 # applied elementwise over the (R,) protocol-state arrays the batched
 # engine already exposes.  Edge-case handling mirrors the scalar formulas
 # exactly (p <= 0 / p >= 1 clamps; NaN protocol state saturates to a jam
-# request, which the budget then clamps to a saturating pattern).
+# request, which the budget then clamps to a saturating pattern).  The
+# four that read only p or u apply the same rule along the slot axis of a
+# shared-state view for the megakernel (_StateWantMixin).
 
 
 def _p_single_batch(n: int, p: np.ndarray) -> np.ndarray:
@@ -372,7 +399,7 @@ class VectorReactiveJammer(VectorJammingStrategy):
         return f"VectorReactiveJammer(triggers={names})"
 
 
-class VectorSingleSuppressor(VectorJammingStrategy):
+class VectorSingleSuppressor(_StateWantMixin, VectorJammingStrategy):
     """Batched :class:`~repro.adversary.adaptive.SingleSuppressor`: jam
     the columns whose ``P[Single]`` meets the threshold."""
 
@@ -392,7 +419,7 @@ class VectorSingleSuppressor(VectorJammingStrategy):
         return _saturate_nan(want, p)
 
 
-class VectorEstimatorAttacker(VectorJammingStrategy):
+class VectorEstimatorAttacker(_StateWantMixin, VectorJammingStrategy):
     """Batched :class:`~repro.adversary.adaptive.EstimatorAttacker`: jam
     the columns whose estimator ``u`` sits within ``margin`` of ``log2 n``."""
 
@@ -418,7 +445,7 @@ class VectorEstimatorAttacker(VectorJammingStrategy):
         return f"VectorEstimatorAttacker(margin={self.margin})"
 
 
-class VectorSilenceMasker(VectorJammingStrategy):
+class VectorSilenceMasker(_StateWantMixin, VectorJammingStrategy):
     """Batched :class:`~repro.adversary.adaptive.SilenceMasker`: jam the
     columns whose ``P[Null]`` meets the threshold."""
 
@@ -441,7 +468,7 @@ class VectorSilenceMasker(VectorJammingStrategy):
         return f"VectorSilenceMasker(threshold={self.threshold})"
 
 
-class VectorCollisionForcer(VectorJammingStrategy):
+class VectorCollisionForcer(_StateWantMixin, VectorJammingStrategy):
     """Batched :class:`~repro.adversary.adaptive.CollisionForcer`: jam the
     columns where a collision is not already the likely outcome."""
 

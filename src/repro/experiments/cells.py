@@ -5,9 +5,11 @@ protocol(n, eps, T) against a named adversary".  This module picks the
 fastest engine that can run each cell:
 
 * the slot-blocked megakernel (:mod:`repro.sim.megakernel`) when the cell
-  asks for it (``megakernel=True``; experiments T1, T2, T4 and F2 do):
-  LESK, sweep, no-CD sweep and Estimation cells under oblivious
-  (schedulable) adversaries run the fused fast path, everything else
+  asks for it (``megakernel=True``; experiments T1, T2, T4 and F2 do, and
+  so do T8's sweep cells and A3's no-CD cells): LESK, sweep, no-CD sweep
+  and Estimation cells under oblivious (schedulable) adversaries, and
+  sweep, no-CD sweep and Estimation cells under the adaptive jammers that
+  read only ``p`` or ``u``, run the fused fast path, everything else
   delegates to the batched engine byte-identically inside the engine, so
   the flag never changes a result bit;
 * the batched cross-replication engine (:mod:`repro.sim.batched`) by

@@ -66,7 +66,13 @@ def run(preset: str = "small", seed: int = 2022) -> Table:
 
     With the adaptive family vectorized, *every* suite strategy runs
     through the batched engine, and the jam-efficiency counters it
-    publishes are the same families the scalar engines feed.
+    publishes are the same families the scalar engines feed.  The sweep
+    cells run on the megakernel: every live sweep column follows one
+    exponent sequence, so the oblivious jammers and the adaptive ones
+    that read only ``p`` or ``u`` take its fused path (their unelected
+    runs reach the cap mostly through ``p = 0`` stretches that draw
+    nothing), while ``random`` and ``reactive`` delegate back to the
+    batched engine inside it, bit for bit.
     """
     n = preset_value(preset, 1024, 4096)
     reps = preset_value(preset, 15, 150)
@@ -102,7 +108,7 @@ def run(preset: str = "small", seed: int = 2022) -> Table:
         CellSpec(
             kind="sweep", n=n, eps=eps, T=T, adversary=strategy,
             reps=reps, root_seed=seed, path=(8, si, 1),
-            max_slots=sweep_budget,
+            megakernel=True, max_slots=sweep_budget,
         )
         for si, strategy in enumerate(strategies)
     ]

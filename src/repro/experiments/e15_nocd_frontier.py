@@ -32,8 +32,10 @@ EXPERIMENT = "A3"
 def run(preset: str = "small", seed: int = 2029) -> Table:
     """Run experiment A3 at *preset* scale and return its table.
 
-    Both the no-CD sweep and the LESK side run on the batched engine;
-    ``single-suppressor`` (the jammer used here) is batchable.
+    The LESK side runs on the batched engine and the no-CD side on the
+    megakernel's fused path: ``single-suppressor`` (the jammer used here)
+    reads only the transmit probability, which every live no-CD sweep
+    column shares.
     """
     ns = preset_value(preset, [2**8, 2**14], [2**8, 2**12, 2**16, 2**20, 2**24])
     reps = preset_value(preset, 10, 60)
@@ -61,7 +63,7 @@ def run(preset: str = "small", seed: int = 2029) -> Table:
         CellSpec(
             kind="nocd", n=n, eps=eps, T=T, adversary=adversary,
             reps=reps, root_seed=seed, path=(15, ni, 0),
-            max_slots=cap,
+            megakernel=True, max_slots=cap,
         )
         for ni, n in enumerate(ns)
     ]

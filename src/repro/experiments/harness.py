@@ -251,9 +251,11 @@ def replicate_megakernel(
 
     Routes the cell through
     :func:`repro.sim.megakernel.simulate_uniform_megakernel`: oblivious
-    (schedulable) adversaries run the slot-blocked fused fast path, and
-    every configuration the fast path cannot serve -- adaptive
-    strategies, non-ladder policies, enabled fault models -- delegates to
+    (schedulable) adversaries, and the adaptive ones that read only the
+    protocol state of a sweep, no-CD sweep or Estimation, run the
+    slot-blocked fused fast path, and every configuration the fast path
+    cannot serve -- other adaptive strategies, non-ladder policies,
+    enabled fault models -- delegates to
     the batched engine with the original arguments, byte-identical to
     :func:`replicate_batched` having been called directly (the fallback
     is loud: ``engine_fallback_total{engine="megakernel"}``).

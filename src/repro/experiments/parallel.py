@@ -6,9 +6,10 @@ processes.  :class:`WorkerPool` keeps it alive despite crashing, hanging
 and killed workers, as the paper's protocols elect a leader although an
 adversary disrupts most slots:
 
-* **workers** hold one duplex pipe each, reset inherited signal handlers,
-  exit on pipe EOF (a dead parent leaves no orphans), and ship every
-  exception home with ``permanent = isinstance(exc, ReproError)``;
+* **workers** hold one duplex pipe each, close the parent's pipe ends
+  the fork copied into them, reset inherited signal handlers, exit on
+  pipe EOF (a dead parent leaves no orphans), and ship every exception
+  home with ``permanent = isinstance(exc, ReproError)``;
 * **one wait**: :meth:`WorkerPool.poll`, driven from the calling thread,
   waits on the pipes, the exit sentinels and a wake-up pipe with one
   :func:`multiprocessing.connection.wait`;
@@ -102,10 +103,15 @@ def _execute(fn, fault_plan, fault_id, execution, seq, args, in_process):
     return fn(*args)
 
 
-def _worker_main(conn, fn, fault_plan, heartbeat, fresh) -> None:
+def _worker_main(conn, inherited, fn, fault_plan, heartbeat, fresh) -> None:
     """Worker process body: receive ``(seq, execution, fault_id, args)``,
     reply ``("ok", result)`` or ``("error", failure)``; a fresh worker
     exits after one task.
+
+    *inherited* holds the parent's pipe ends that the fork copied into
+    this process (its own pipe's and its live siblings'); they are closed
+    first, so that the parent's death closes every copy of this worker's
+    peer end and ``conn.recv()`` sees EOF.
 
     With *heartbeat* set, a beat thread sends ``("hb",)`` every
     *heartbeat* seconds while a task runs.  It keeps beating through an
@@ -120,6 +126,8 @@ def _worker_main(conn, fn, fault_plan, heartbeat, fresh) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (OSError, ValueError):
         pass
+    for end in inherited:
+        end.close()
     lock = threading.Lock()
 
     def send(msg) -> None:
@@ -443,10 +451,17 @@ class WorkerPool:
 
     def _spawn(self, slot: _Slot) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # A forked worker holds copies of these parent ends until it
+        # closes them; other start methods copy nothing.
+        inherited = []
+        if self._ctx.get_start_method() == "fork":
+            inherited = [parent_conn]
+            inherited += [s.conn for s in self._slots if s.conn is not None]
         # Not daemonic: a task may start worker processes of its own.
         slot.proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.fn, self.fault_plan, self.heartbeat, self.fresh),
+            args=(child_conn, inherited, self.fn, self.fault_plan,
+                  self.heartbeat, self.fresh),
             name="repro-pool-worker",
         )
         slot.proc.start()

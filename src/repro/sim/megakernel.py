@@ -1,4 +1,4 @@
-"""Slot-blocked megakernel engine for uniform policies vs oblivious jammers.
+"""Slot-blocked megakernel engine for uniform policies vs predictable jammers.
 
 The batched engine (:mod:`repro.sim.batched`) is dispatch-bound: ~55 Python
 calls per slot (``decide``/``grant``/``observe_batch``/clips) dominate the
@@ -12,6 +12,13 @@ actually *conditions* on per-slot randomness:
   same grants for every column -- so one scalar
   :class:`~repro.adversary.budget.JammingBudget` per run decides every
   slot for all of them;
+* so is the schedule of an **adaptive** strategy that reads only the
+  protocol state (``p`` or ``u``, no RNG, no history: single-suppressor,
+  silence-masker, collision-forcer, estimator-attacker) under a policy
+  whose live columns all share one state sequence -- the sweep, the no-CD
+  sweep and Estimation.  Their ladders report the next block's per-slot
+  ``(p, u)`` rows without advancing, and ``want_schedule`` applies the
+  strategy's ``wants_jam_batch`` rule along that slot axis;
 * a jammed slot is observed as ``Collision`` by every active column, so a
   run of ``L`` granted slots shifts the policy schedule deterministically;
   the engine fuses the run *plus the first following free slot* into a
@@ -27,12 +34,15 @@ and there the columns with at least ``L`` Nulls retire as completed with
 the budget's counters after that slot.  From round 11 on the round's
 probability is exactly 0.0: a free slot is then a certain Null and
 ``binomial(n, 0.0)`` consumes no random numbers, so such blocks draw
-nothing -- they only run the budget and count their free slots.
+nothing -- they only run the budget and count their free slots.  The CD
+sweep's exponents from 1074 to the end of each sweep give the same
+exactly-zero probability, and those stretches run the same way.
 
 Block layout
 ------------
 Slots are processed in blocks of ``_BLOCK_SLOTS``.  Each block's want
-flags come from one ``want_schedule`` call, and the run's
+flags come from one ``want_schedule`` call (offered the ladder's shared
+state view when it has one), and the run's
 ``JammingBudget`` decides them slot by slot, splitting the block into
 *groups* (:func:`_grant_block`): maximal runs of granted slots plus at
 most one trailing free slot.  Each group is one fused RNG call; free-slot
@@ -53,7 +63,7 @@ samples row-major, one probability at a time), so the fast path is
 -- that stream is invariant to when retired columns are packed out, and
 this engine is simply its maximal-compaction limit.  Block size never
 changes results either: grouping is derived from the grant timeline,
-block boundaries (and Estimation's round ends, which sit at fixed slots)
+block boundaries (and the stretch ends, which sit at fixed slots)
 only split a jam run, and split fused draws consume the bitstream
 exactly like the unsplit ones -- ``_BLOCK_SLOTS = 1`` is
 bit-identical to ``_BLOCK_SLOTS >= max_slots`` (property-tested in
@@ -64,8 +74,10 @@ Fallback triggers
 Anything that makes per-slot conditioning real falls back to
 :func:`repro.sim.batched.simulate_uniform_batched` with the original
 arguments, recording a loud one-time ``engine_fallback_total`` counter:
-adaptive or randomized strategies (no ``want_schedule``), strategies with
-feedback hooks, non-default adversary classes, strict budgets, enabled
+randomized strategies (no ``want_schedule``), strategies with feedback
+hooks (the reactive jammer), state-reading strategies under LESK (its
+columns' exponents differ, so it offers no shared state),
+non-default adversary classes, strict budgets, enabled
 fault models, auditors, ``halt_on_single=False``, and policies outside
 the supported set (LESK / sweep / no-CD sweep / Estimation).  Both paths
 consume one stream, so whether a configuration takes the fast path or the
@@ -82,7 +94,11 @@ from typing import Callable
 import numpy as np
 
 from repro.adversary.budget import JammingBudget
-from repro.adversary.vector import BatchedAdversary, VectorJammingStrategy
+from repro.adversary.vector import (
+    BatchAdversaryView,
+    BatchedAdversary,
+    VectorJammingStrategy,
+)
 from repro.errors import ConfigurationError
 from repro.protocols.vector import (
     VectorEstimationPolicy,
@@ -207,14 +223,21 @@ class _Ladder:
     ``prepare_group`` returns a fused group's probability rows,
     ``commit_jams`` adopts the state after the group's granted slots,
     ``apply_free_outcome`` and ``apply_collision_only`` fold in the
-    trailing free slot, and ``compact`` drops retired columns.  ``cut`` is
-    the next slot at which a block must end and ``certain`` marks blocks
-    whose draws are all exactly 0 (see :class:`_EstimationLadder`); the
-    defaults say neither ever happens.
+    trailing free slot, and ``compact`` drops retired columns.  ``peek``
+    reports the next slots' shared ``(p, u)`` rows without advancing, or
+    ``None`` when the columns do not share one state.  ``cut`` is the
+    next slot at which a block must end (the engine then calls
+    ``end_stretch``) and ``certain`` marks blocks whose draws are all
+    exactly 0, which the engine hands to ``skip`` undrawn (see
+    :class:`_SweepLadder` and :class:`_EstimationLadder`); the defaults
+    say neither ever happens.
     """
 
     cut = sys.maxsize
     certain = False
+
+    def peek(self, count: int) -> tuple[np.ndarray, np.ndarray] | None:
+        return None
 
     def commit_jams(self) -> None:
         pass
@@ -355,6 +378,11 @@ def _exp2_exact(exponent: int) -> float:
     return 0.0 if exponent >= 1074 else math.ldexp(1.0, -exponent)
 
 
+#: Exponents from here on give ``p = 0.0`` exactly (the underflow guard of
+#: :func:`probabilities_from_exponents`).
+_P_ZERO_EXPONENT = 1074
+
+
 class _SweepLadder(_Ladder):
     """Scalar ladder for :class:`VectorSweepPolicy`.
 
@@ -364,53 +392,87 @@ class _SweepLadder(_Ladder):
     schedule is a pure function of the slot index, the fused draws are
     bit-identical to the packed engine's, and the probability rows are
     computed from exact scalar powers of two (no ``exp2`` array pass).
+
+    From exponent 1074 to the end of its sweep the probability is exactly
+    0.0 (``certain``): ``binomial(n, 0.0)`` consumes no random numbers and
+    no column can win, so the engine only runs the budget there.  ``cut``
+    alternates between the first slot of such a stretch and the first
+    slot after it.
     """
 
-    def __init__(self, policy: VectorSweepPolicy) -> None:
-        self.u = int(policy._u[0])
-        self.ceiling = int(policy._ceiling[0])
+    #: Slots per exponent: 1 here, the ceiling for the no-CD sweep.
+    repeats = False
 
-    def _advance(self) -> None:
-        self.u += 1
-        if self.u > self.ceiling:
-            self.u = 0
-            self.ceiling *= 2
+    def __init__(self, policy: VectorSweepPolicy) -> None:
+        self.state = (int(policy._u[0]), int(policy._ceiling[0]), 1)
+        self.cut = 0
+        self.end_stretch()
+
+    def _walk(self, count: int) -> tuple[list[int], tuple[int, int, int]]:
+        """The next *count* slots' exponents and the ``(u, ceiling,
+        slots left at u)`` state after them; advances nothing."""
+        u, ceiling, left = self.state
+        exponents = []
+        for _ in range(count):
+            exponents.append(u)
+            left -= 1
+            if left <= 0:
+                u += 1
+                if u > ceiling:
+                    u = 0
+                    ceiling *= 2
+                left = ceiling if self.repeats else 1
+        return exponents, (u, ceiling, left)
+
+    def peek(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        u = np.array(self._walk(count)[0], dtype=np.float64)
+        return probabilities_from_exponents(u), u
 
     def prepare_group(self, L: int, has_free: bool, width: int) -> np.ndarray:
-        vals = []
-        for _ in range(L):
-            vals.append(_exp2_exact(self.u))
-            self._advance()
+        exponents, self.state = self._walk(L)
         if has_free:
-            vals.append(_exp2_exact(self.u))
-        rows = np.empty((len(vals), width))
-        rows[:] = np.asarray(vals, dtype=np.float64)[:, None]
+            exponents.append(self.state[0])
+        rows = np.empty((len(exponents), width))
+        rows[:] = np.array([_exp2_exact(e) for e in exponents])[:, None]
         return rows
 
     def apply_free_outcome(self, k: np.ndarray, scratch=None) -> None:
-        self._advance()
+        self.state = self._walk(1)[1]
 
     def apply_collision_only(self) -> None:
-        self._advance()
+        self.state = self._walk(1)[1]
+
+    def skip(self, count: int, free: int) -> None:
+        self.state = self._walk(count)[1]
+
+    def end_stretch(self) -> None:
+        """Mark the stretch from slot ``cut`` on and move ``cut`` past it."""
+        u, ceiling, _ = self.state
+        self.certain = u >= _P_ZERO_EXPONENT
+        if self.certain:
+            self.cut += ceiling - u + 1
+            return
+        while ceiling < _P_ZERO_EXPONENT:
+            self.cut += ceiling - u + 1
+            u, ceiling = 0, 2 * ceiling
+        self.cut += _P_ZERO_EXPONENT - u
 
 
 class _NoCDSweepLadder(_SweepLadder):
     """Scalar ladder for :class:`VectorNoCDSweepPolicy` (each exponent of
-    sweep ``K`` repeated ``K`` times; refill happens after a doubling)."""
+    sweep ``K`` repeated ``K`` times; refill happens after a doubling).
+
+    Its first ``p = 0`` slot lies about 3.6 million slots in (exponent
+    1074 of the ceiling-2048 sweep), so it marks no certain stretch."""
+
+    repeats = True
 
     def __init__(self, policy: VectorNoCDSweepPolicy) -> None:
-        self.u = int(policy._u[0])
-        self.ceiling = int(policy._ceiling[0])
-        self.repeat_left = int(policy._repeat_left[0])
-
-    def _advance(self) -> None:
-        self.repeat_left -= 1
-        if self.repeat_left <= 0:
-            self.u += 1
-            if self.u > self.ceiling:
-                self.u = 0
-                self.ceiling *= 2
-            self.repeat_left = self.ceiling
+        self.state = (
+            int(policy._u[0]),
+            int(policy._ceiling[0]),
+            int(policy._repeat_left[0]),
+        )
 
 
 class _EstimationLadder(_Ladder):
@@ -420,8 +482,9 @@ class _EstimationLadder(_Ladder):
     round: round ``r`` covers slots ``2**r - 2 .. 2**(r+1) - 3``, and each
     probability row is one scalar lookup in the policy's own table.  Only
     the per-column Null counts differ.  ``cut`` is the first slot of the
-    next round; the engine ends a block there and calls :meth:`end_round`,
-    which retires the columns with at least ``L`` Nulls.
+    next round; the engine ends a block there and calls
+    :meth:`end_stretch`, which retires the columns with at least ``L``
+    Nulls.
 
     From round 11 on the probability is exactly 0.0 (``certain``): every
     draw would be 0 and ``binomial(n, 0.0)`` consumes no random numbers,
@@ -441,19 +504,24 @@ class _EstimationLadder(_Ladder):
         self.p = float(self._table[self.round])
         self.certain = self.p == 0.0
 
+    def peek(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        # Blocks never cross a round end, and the policy exposes no
+        # estimator (its ``u`` is NaN).
+        return np.full(count, self.p), np.full(count, np.nan)
+
     def prepare_group(self, L: int, has_free: bool, width: int) -> np.ndarray:
         return np.full((L + has_free, width), self.p)
 
     def apply_free_outcome(self, k: np.ndarray, scratch=None) -> None:
         self.nulls += k == 0
 
-    def count_nulls(self, free: int) -> None:
+    def skip(self, count: int, free: int) -> None:
         self.nulls += free
 
     def compact(self, keep: np.ndarray, new_width: int) -> None:
         self.nulls = self.nulls[keep]
 
-    def end_round(self) -> tuple[int, np.ndarray]:
+    def end_stretch(self) -> tuple[int, np.ndarray]:
         """Close the current round: ``(round, mask of completing columns)``."""
         finished = self.round
         if finished >= self.max_round:
@@ -474,16 +542,38 @@ _LADDERS = {
 }
 
 
+def _state_view(
+    ladder: _Ladder, n: int, slot: int, count: int
+) -> BatchAdversaryView | None:
+    """The protocol state of slots ``slot .. slot+count-1`` along the slot
+    axis, as :meth:`VectorJammingStrategy.want_schedule` reads it, or
+    ``None`` when the ladder's columns do not share one state."""
+    rows = ladder.peek(count)
+    if rows is None:
+        return None
+    p, u = rows
+    # No state-reading strategy consults the budget.
+    return BatchAdversaryView(
+        slot=slot, n=n, reps=count, budget=None,
+        transmit_probabilities=p, protocol_u=u,
+    )
+
+
 def megakernel_eligibility(
     policy,
     adversary,
     *,
+    n: int,
     halt_on_single: bool = True,
     faults=None,
     auditor=None,
 ) -> str | None:
     """Return ``None`` when the fused fast path applies, else the reason
-    the configuration must run per-slot (used as the fallback label)."""
+    the configuration must run per-slot (used as the fallback label).
+
+    The strategy must give slot 0 a want schedule, offered the state view
+    of the policy's ladder (of *n* stations) when its columns share one.
+    """
     if not halt_on_single:
         return "halt_on_single"
     if auditor is not None:
@@ -506,7 +596,8 @@ def megakernel_eligibility(
         is not VectorJammingStrategy.observe_outcomes
     ):
         return f"strategy-feedback:{name}"
-    if strategy.want_schedule(0, 1) is None:
+    ladder = _LADDERS[type(policy)](policy)
+    if strategy.want_schedule(0, 1, _state_view(ladder, n, 0, 1)) is None:
         return f"strategy:{name}"
     return None
 
@@ -546,6 +637,7 @@ def simulate_uniform_megakernel(
     reason = megakernel_eligibility(
         policy,
         adversary,
+        n=n,
         halt_on_single=halt_on_single,
         faults=faults,
         auditor=auditor,
@@ -622,7 +714,7 @@ def simulate_uniform_megakernel(
     slot = 0
     while slot < max_slots and width:
         K = min(_BLOCK_SLOTS, max_slots - slot, ladder.cut - slot)
-        wants = strategy.want_schedule(slot, K)
+        wants = strategy.want_schedule(slot, K, _state_view(ladder, n, slot, K))
         if wants is None:  # pragma: no cover - eligibility probed slot 0
             raise ConfigurationError(
                 f"strategy {adversary.strategy_name!r} stopped providing a "
@@ -630,8 +722,8 @@ def simulate_uniform_megakernel(
             )
         if ladder.certain:
             # p is exactly 0.0: every draw is 0 and consumes no random
-            # numbers, so only the grants run and each free slot is a
-            # Null for every column.
+            # numbers, so only the grants run, each free slot is a Null
+            # for every column, and no column can win.
             jams_before = budget.jams_granted
             for m, want in enumerate(wants.tolist()):
                 jammed = budget.grant(want)
@@ -642,7 +734,7 @@ def simulate_uniform_megakernel(
                         jam_row if jammed else free_row,
                         active_full,
                     )
-            ladder.count_nulls(K - (budget.jams_granted - jams_before))
+            ladder.skip(K, K - (budget.jams_granted - jams_before))
             groups = ()
         else:
             groups = _grant_block(budget, wants)
@@ -709,11 +801,14 @@ def simulate_uniform_megakernel(
                 ladder.apply_free_outcome(k, scratch)
         slot += K
         if slot == ladder.cut and width:
-            # A round end (Estimation only): the block stopped on its last
-            # slot, so the budget's counters are those after that slot.
-            result, done = ladder.end_round()
-            n_done = np.count_nonzero(done)
+            # A stretch ends: the sweep's certain stretches start or stop
+            # (nothing retires), or an Estimation round ends.  The block
+            # stopped on the round's last slot, so the budget's counters
+            # are those after that slot.
+            ended = ladder.end_stretch()
+            n_done = 0 if ended is None else np.count_nonzero(ended[1])
             if n_done:
+                result, done = ended
                 pair = live[:, done]
                 events.append(
                     (slot - 1, pair[0], pair[1], budget.jams_granted,

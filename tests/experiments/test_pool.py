@@ -2,14 +2,18 @@
 
 A Hypothesis property drives kill/raise/config schedules through the pool
 on two worker processes and in-process, against a model of the retry
-rules; an example test covers heartbeat stall detection.
+rules; example tests cover heartbeat stall detection and idle workers
+exiting when their parent is SIGKILLed.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -146,3 +150,68 @@ def test_stalled_worker_is_killed_respawned_and_retried(monkeypatch):
         assert slot.proc is None or slot.proc.pid != frozen
     with pytest.raises(ProcessLookupError):
         os.kill(frozen, 0)  # the frozen worker is gone, not orphaned
+
+
+#: A parent holding a non-fresh pool whose first worker is idle: every
+#: other worker is busy napping (it was forked later, so it holds a copy
+#: of the first worker's parent end).  It prints the idle pid, then the
+#: busy ones, and sleeps until killed.
+_POOL_PARENT = """
+import time
+from repro.experiments.parallel import WorkerPool
+with WorkerPool(time.sleep, {jobs}) as pool:
+    for key in range({jobs}):
+        pool.submit(key, (120 if key else 0,))
+    while pool.unfinished() == {jobs}:
+        pool.poll(0.5)
+    print(*(slot.proc.pid for slot in pool._slots), flush=True)
+    time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live process (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_idle_worker_exits_when_the_parent_is_killed(jobs):
+    """An idle worker's pipe reaches EOF once its parent dies: no copy of
+    the parent's end stays open in the worker itself (jobs=1) or in a
+    sibling forked after it (jobs=2)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parents[2] / "src")
+        + os.pathsep
+        + env.get("PYTHONPATH", "")
+    )
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _POOL_PARENT.format(jobs=jobs)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    workers = []
+    try:
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(workers) == jobs, workers
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(30)
+        idle = workers[0]
+        deadline = time.monotonic() + 5.0
+        while _running(idle) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(idle), "an idle worker outlived its killed parent"
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(30)
+        parent.stdout.close()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

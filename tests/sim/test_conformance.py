@@ -18,8 +18,8 @@ editing these registries; each is then checked for
 * **determinism** -- the same seed gives the same bits;
 * **one stream** -- the megakernel and the batched engine consume one
   bitstream, so ``CellSpec(megakernel=True)`` returns exactly the results
-  of ``megakernel=False`` for every cell kind, oblivious or adaptive
-  adversary, faults off or on;
+  of ``megakernel=False`` for every cell kind, oblivious, state-reading
+  or history-reading adversary, faults off or on;
 * **lockstep** -- on seeded scripts, each scalar policy (alone, and inside
   a strong-CD :class:`UniformStationAdapter` fed through ``feedback_for``)
   and its vector twin, one column per script, agree slot by slot on ``p``,
@@ -236,8 +236,9 @@ ENGINES = {
             ("nocd", "single-suppressor"),
         ),
     ),
-    # Fast-path policies under oblivious (schedulable) jammers; every
-    # other configuration runs the batched loop, checked above.
+    # Fast-path policies under oblivious (schedulable) jammers, and a
+    # shared ladder under a jammer that reads its state; every other
+    # configuration runs the batched loop, checked above.
     "megakernel": Engine(
         run_megakernel,
         (
@@ -247,6 +248,7 @@ ENGINES = {
             ("sweep", "saturating"),
             ("nocd", "none"),
             ("nocd", "saturating"),
+            ("nocd", "single-suppressor"),
         ),
     ),
 }
@@ -478,7 +480,10 @@ FAULTS = FaultModel(flip_rate=0.05, erase_rate=0.05, crash_rate=0.002)
 
 
 @pytest.mark.parametrize("faults", [None, FAULTS], ids=["faults-off", "faults-on"])
-@pytest.mark.parametrize("adversary", ["saturating", "reactive"])
+@pytest.mark.parametrize(
+    "adversary",
+    ["saturating", "reactive", "single-suppressor", "collision-forcer"],
+)
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_megakernel_flag_changes_no_bit(kind, adversary, faults):
     def cell(megakernel: bool) -> list:

@@ -10,10 +10,12 @@ The engine's two structural contracts are tested here:
 * **Bit-identity with the batched stream** -- the megakernel is the
   maximal-compaction limit of the batched engine's stream: the batched
   engine must produce the same arrays bit for bit, across all four
-  fast-path policies and every schedulable strategy, including columns
+  fast-path policies and every schedulable strategy, and across the
+  three shared ladders (sweep, no-CD sweep, Estimation) under the four
+  strategies that read only the protocol state, including columns
   that time out (their jam counters come from the run's budget) and
   Estimation columns that complete at a round end, with runs cut inside
-  the rounds whose probability is exactly 0.0.
+  the rounds and sweep stretches whose probability is exactly 0.0.
 
 Telemetry parity: the same cell records the same slot, class, jam,
 election and timeout counters on both engines, including the slots the
@@ -70,6 +72,18 @@ POLICIES = {
 
 SCHEDULABLE = ("none", "saturating", "periodic-front", "burst")
 
+#: Strategies whose want is an elementwise function of ``(p, u)``, and the
+#: ladders whose live columns share one such state sequence.
+STATE_READERS = (
+    "single-suppressor", "silence-masker", "collision-forcer",
+    "estimator-attacker",
+)
+SHARED_LADDERS = ("sweep", "nocd-sweep", "estimation")
+
+#: A CD-sweep cell whose columns run through the ceiling-2048 sweep's
+#: ``p = 0`` stretch (slots 3132-4106) and partly time out after it.
+STRETCH_CELL = dict(reps=16, n=1024, max_slots=5500)
+
 
 def _mega(policy, strategy, *, reps=24, max_slots=4000, seed=33, block=None,
           n=N, window=T):
@@ -122,6 +136,14 @@ class TestBlockInvariance:
                 ref, got, f"{policy}/{strategy} K=1 vs K={block}"
             )
 
+    def test_adaptive_sweep_block_invariant(self):
+        ref = _mega("sweep", "single-suppressor", block=1, **STRETCH_CELL)
+        assert ref.timed_out.any() and ref.elected.any()
+        for block in (7, 64, STRETCH_CELL["max_slots"]):
+            got = _mega("sweep", "single-suppressor", block=block,
+                        **STRETCH_CELL)
+            assert_results_equal(ref, got, f"K=1 vs K={block}")
+
     def test_timeout_edge_block_invariant(self):
         # max_slots small enough that some reps time out: the boundary
         # between elected and timed-out columns must not move with K.
@@ -170,6 +192,35 @@ class TestBitIdentityWithPackedBatched:
         else:
             assert got.timed_out.all()
 
+    @pytest.mark.parametrize("n", [2, 1621])
+    @pytest.mark.parametrize("strategy", STATE_READERS)
+    @pytest.mark.parametrize("policy", SHARED_LADDERS)
+    def test_state_readers_match_packed_stream(self, policy, strategy, n):
+        # n = 1621 is where np.log2 and math.log2 differ in the last ulp
+        # (the estimator attacker's band edge); the short cuts leave
+        # columns timed out, the shortest even at n = 2.
+        short = 10 if policy == "estimation" else 40
+        for max_slots in (4000, short, 3):
+            ref = _batched(policy, strategy, n=n, max_slots=max_slots)
+            got = _mega(policy, strategy, n=n, max_slots=max_slots)
+            assert_results_equal(
+                ref, got, f"{policy}/{strategy} n={n} max_slots={max_slots}"
+            )
+        assert ref.timed_out.any(), "max_slots=3 left no column running"
+
+    @pytest.mark.parametrize("strategy", STATE_READERS)
+    @pytest.mark.parametrize(
+        "max_slots",
+        # Runs whose last slot is the stretch's first (3132) or last
+        # (4106), and one that runs on into the ceiling-4096 sweep.
+        [3133, 4107, 5500],
+    )
+    def test_sweep_certain_stretch(self, strategy, max_slots):
+        kw = dict(STRETCH_CELL, max_slots=max_slots)
+        ref = _batched("sweep", strategy, **kw)
+        got = _mega("sweep", strategy, **kw)
+        assert_results_equal(ref, got, f"{strategy} max_slots={max_slots}")
+
     def test_matches_across_root_seeds(self):
         for seed in range(8):
             ref = _batched("lesk", "saturating", reps=8, seed=seed)
@@ -200,6 +251,18 @@ class TestFixedSeedPins:
         assert r.jams.tolist() == [8] * 12
         assert r.transmissions.tolist() == [
             45, 51, 54, 47, 54, 57, 40, 57, 52, 43, 52, 38
+        ]
+
+    def test_sweep_single_suppressor_pin(self):
+        # Read off the batched engine before the fused path served
+        # adaptive strategies; column 2 runs to the cap.
+        r = _mega("sweep", "single-suppressor", reps=12, seed=7)
+        assert r.slots.tolist() == [28, 26, 4000, 26, 26, 28, 26, 26, 28, 26, 26, 26]
+        assert r.leaders.tolist() == [61, 6, -1, 35, 18, 28, 25, 10, 48, 47, 59, 24]
+        assert r.jams.tolist() == [9, 8, 66, 8, 8, 9, 8, 8, 9, 8, 8, 8]
+        assert r.jam_denied.tolist() == [2, 1, 12, 1, 1, 2, 1, 1, 2, 1, 1, 1]
+        assert r.transmissions.tolist() == [
+            579, 577, 1515, 589, 588, 584, 578, 582, 582, 584, 574, 589
         ]
 
     def test_sweep_burst_pin(self):
@@ -237,23 +300,50 @@ class TestFallback:
     def test_eligibility_reasons(self):
         policy = VectorLESKPolicy(EPS, 4)
         oblivious = make_batched_adversary("saturating", T=T, eps=EPS, reps=4)
-        adaptive = make_batched_adversary(
-            "single-suppressor", T=T, eps=EPS, reps=4
-        )
-        assert megakernel_eligibility(policy, oblivious) is None
+        assert megakernel_eligibility(policy, oblivious, n=N) is None
         estimation = VectorEstimationPolicy(4, L=2)
-        assert megakernel_eligibility(estimation, oblivious) is None
-        assert megakernel_eligibility(policy, adaptive) is not None
+        assert megakernel_eligibility(estimation, oblivious, n=N) is None
         assert (
-            megakernel_eligibility(policy, oblivious, halt_on_single=False)
+            megakernel_eligibility(
+                policy, oblivious, n=N, halt_on_single=False
+            )
             is not None
         )
+
+    @pytest.mark.parametrize("strategy", STATE_READERS)
+    @pytest.mark.parametrize("policy", SHARED_LADDERS)
+    def test_state_readers_eligible_on_shared_ladders(self, policy, strategy):
+        adversary = make_batched_adversary(strategy, T=T, eps=EPS, reps=4)
+        assert megakernel_eligibility(POLICIES[policy](4), adversary, n=N) is None
+
+    @pytest.mark.parametrize(
+        "policy, strategy, reason",
+        [("lesk", name, f"strategy:{name}") for name in STATE_READERS]
+        + [("lesk", "reactive", "strategy-feedback:reactive")]
+        + [
+            (policy, "random", "strategy:random")
+            for policy in ("lesk", *SHARED_LADDERS)
+        ]
+        + [
+            (policy, "reactive", "strategy-feedback:reactive")
+            for policy in SHARED_LADDERS
+        ],
+    )
+    def test_other_adaptive_configurations_fall_back(
+        self, policy, strategy, reason
+    ):
+        # LESK's exponents differ per column, so it offers no shared
+        # state; random and reactive jammers have no want schedule.
+        adversary = make_batched_adversary(strategy, T=T, eps=EPS, reps=4)
+        assert megakernel_eligibility(POLICIES[policy](4), adversary, n=N) == reason
 
 
 class TestTelemetryParity:
     """Both engines record the same counters for the same cell; only the
     ``engine`` label differs.  The Estimation cell reaches the rounds the
-    megakernel decides without drawing, and completes its columns."""
+    megakernel decides without drawing, and completes its columns; the
+    adaptive sweep cell crosses a ``p = 0`` stretch, and some of its
+    columns time out."""
 
     @staticmethod
     def _counters(run) -> dict:
@@ -266,19 +356,32 @@ class TestTelemetryParity:
         }
 
     @pytest.mark.parametrize(
-        "policy, kw",
+        "policy, strategy, kw",
         [
-            ("estimation", dict(reps=16, n=1024, window=4096, max_slots=6000)),
-            ("lesk", dict(reps=16, max_slots=4000)),
+            pytest.param(
+                "estimation", "saturating",
+                dict(reps=16, n=1024, window=4096, max_slots=6000),
+                id="estimation-kw0",
+            ),
+            pytest.param(
+                "lesk", "saturating", dict(reps=16, max_slots=4000),
+                id="lesk-kw1",
+            ),
+            pytest.param(
+                "sweep", "single-suppressor", STRETCH_CELL,
+                id="sweep-single-suppressor",
+            ),
         ],
     )
-    def test_counters_match_batched(self, policy, kw):
-        ref = self._counters(lambda: _batched(policy, "saturating", **kw))
-        got = self._counters(lambda: _mega(policy, "saturating", **kw))
+    def test_counters_match_batched(self, policy, strategy, kw):
+        ref = self._counters(lambda: _batched(policy, strategy, **kw))
+        got = self._counters(lambda: _mega(policy, strategy, **kw))
         assert got == ref
         assert ("engine_slots_total", ()) in got
         if policy == "estimation":
             assert ("timeouts_total", ()) not in got
+        if policy == "sweep":
+            assert ("timeouts_total", ()) in got
 
 
 PARITY_COUNTERS = {
