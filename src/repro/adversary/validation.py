@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import BudgetViolationError, ConfigurationError
+from repro.errors import ConfigurationError
 
 __all__ = [
     "check_bounded",
     "max_window_violation",
-    "assert_bounded",
     "WindowViolation",
     "WindowAuditor",
 ]
@@ -37,9 +36,7 @@ class WindowViolation:
     Everything a violation report needs: where the window sits
     (``[start, end)``), how many of its slots were jammed, and how many the
     (T, 1-eps) definition would have allowed.  Returned by
-    :func:`max_window_violation` and :class:`WindowAuditor`, and carried by
-    the :class:`~repro.errors.BudgetViolationError` raised from
-    :func:`assert_bounded`.
+    :func:`max_window_violation` and :class:`WindowAuditor`.
     """
 
     start: int
@@ -120,23 +117,6 @@ def max_window_violation(
 def check_bounded(jams: "np.ndarray | list[bool]", T: int, eps: float) -> bool:
     """True iff the jam sequence satisfies the (T, 1-eps) definition."""
     return max_window_violation(jams, T, eps) is None
-
-
-def assert_bounded(jams: "np.ndarray | list[bool]", T: int, eps: float) -> None:
-    """Raise :class:`~repro.errors.BudgetViolationError` on a violation.
-
-    The raised error carries the structured :class:`WindowViolation` as its
-    ``violation`` attribute, so callers (tests, the invariant auditor) can
-    report window coordinates instead of a bare boolean.
-    """
-    violation = max_window_violation(jams, T, eps)
-    if violation is not None:
-        err = BudgetViolationError(
-            f"(T={T}, 1-eps={1.0 - eps:.4g}) budget violated: "
-            f"{violation.describe()}"
-        )
-        err.violation = violation
-        raise err
 
 
 class WindowAuditor:

@@ -4,18 +4,20 @@ The experiment tables all fill cells with "reps replications of
 protocol(n, eps, T) against a named adversary".  This module picks the
 fastest engine that can run each cell:
 
-* the slot-blocked megakernel (:mod:`repro.sim.megakernel`) when the cell
-  asks for it (``megakernel=True``; experiments T1, T2, T4 and F2 do, and
-  so do T8's sweep cells and A3's no-CD cells): LESK, sweep, no-CD sweep
-  and Estimation cells under oblivious (schedulable) adversaries, and
-  sweep, no-CD sweep and Estimation cells under the adaptive jammers that
-  read only ``p`` or ``u``, run the fused fast path, everything else
-  delegates to the batched engine byte-identically inside the engine, so
-  the flag never changes a result bit;
-* the batched cross-replication engine (:mod:`repro.sim.batched`) by
-  default (``batched=True``); every strategy of the suite has a
-  :mod:`~repro.adversary.vector` counterpart, and a name without one
-  raises :class:`~repro.errors.ConfigurationError`;
+* the batched cross-replication engines by default (``batched=True``),
+  through :func:`repro.experiments.harness.replicate_megakernel`, whose
+  eligibility probe (:func:`repro.sim.megakernel.megakernel_eligibility`)
+  picks the path: LESK, sweep, no-CD sweep and Estimation cells under
+  oblivious (schedulable) adversaries, and sweep, no-CD sweep and
+  Estimation cells under the adaptive jammers that read only ``p`` or
+  ``u``, run the slot-blocked megakernel's fused path; everything else
+  (LESU, LESK under any adaptive jammer, the ``random`` and ``reactive``
+  jammers, enabled faults) runs the batched engine's per-slot loop
+  (:mod:`repro.sim.batched`).  Both paths
+  consume one stream, so the choice never changes a result bit.  Every
+  strategy of the suite has a :mod:`~repro.adversary.vector`
+  counterpart, and a name without one raises
+  :class:`~repro.errors.ConfigurationError`;
 * the scalar fast engine (:func:`repro.sim.fast.simulate_uniform_fast`,
   one call per replication via :func:`repro.experiments.harness.replicate`)
   when a caller passes ``batched=False``, the reference for the batched
@@ -29,15 +31,12 @@ their policies and default slot cap (``max_slots=None``):
 
 * LESK, sweep and no-CD sweep cap at :func:`cell_slot_budget` for
   ``"lesk"``, LESU at the one for ``"lesu"``;
-* LESU has no megakernel ladder, so ``megakernel=True`` delegates back to
-  the batched engine inside the engine, loudly (``engine_fallback_total``);
-  the flag exists so sweeps can set it uniformly across cell kinds;
 * Estimation runs ``Estimation(2)`` standalone (halt on Single), its
   results carry ``policy_result`` (the returned round index) on every
   engine path, and it caps at the T4 budget
-  (:func:`estimation_slot_budget`); on the megakernel, oblivious
-  adversaries run its Estimation ladder, which decides the rounds whose
-  probability is exactly 0.0 without drawing them.
+  (:func:`estimation_slot_budget`); on the megakernel, its Estimation
+  ladder decides the rounds whose probability is exactly 0.0 without
+  drawing them.
 
 *faults* (a :class:`~repro.resilience.faults.FaultModel`) applies on both
 engine paths.  Every cell derives its seeds from ``(root_seed, *path)``
@@ -68,7 +67,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     SHARD_BLOCK_TAG,
     replicate,
-    replicate_batched,
     replicate_megakernel,
 )
 from repro.protocols.baselines.nakano_olariu import NoCDSweepPolicy, UniformSweepPolicy
@@ -163,8 +161,7 @@ def run_cell_direct(spec: CellSpec) -> list:
     n, eps, T, adversary = spec.n, spec.eps, spec.T, spec.adversary
     budget = spec.max_slots if spec.max_slots is not None else default_cap(n, eps, T)
     if spec.batched:
-        engine = replicate_megakernel if spec.megakernel else replicate_batched
-        return engine(
+        return replicate_megakernel(
             lambda width: vector_policy(eps, width),
             n,
             lambda width: make_batched_adversary(adversary, T=T, eps=eps, reps=width),
@@ -191,61 +188,56 @@ def run_cell_direct(spec: CellSpec) -> list:
 
 def lesk_cell(
     n: int, eps: float, T: int, adversary: str, reps: int, root_seed: int, *path: int,
-    batched: bool = True, megakernel: bool = False, max_slots: int | None = None,
-    faults=None,
+    batched: bool = True, max_slots: int | None = None, faults=None,
 ) -> list:
     """Replicated LESK (Algorithm 1) elections for one table cell."""
     return run_cell_direct(CellSpec(
         "lesk", n, eps, T, adversary, reps, root_seed, path,
-        batched, megakernel, max_slots, faults,
+        batched, max_slots, faults,
     ))
 
 
 def lesu_cell(
     n: int, eps: float, T: int, adversary: str, reps: int, root_seed: int, *path: int,
-    batched: bool = True, megakernel: bool = False, max_slots: int | None = None,
-    faults=None,
+    batched: bool = True, max_slots: int | None = None, faults=None,
 ) -> list:
     """Replicated LESU (Algorithm 2, unknown eps/T) elections for one cell."""
     return run_cell_direct(CellSpec(
         "lesu", n, eps, T, adversary, reps, root_seed, path,
-        batched, megakernel, max_slots, faults,
+        batched, max_slots, faults,
     ))
 
 
 def estimation_cell(
     n: int, eps: float, T: int, adversary: str, reps: int, root_seed: int, *path: int,
-    batched: bool = True, megakernel: bool = False, max_slots: int | None = None,
-    faults=None,
+    batched: bool = True, max_slots: int | None = None, faults=None,
 ) -> list:
     """Replicated standalone ``Estimation(2)`` runs (halt on Single)."""
     return run_cell_direct(CellSpec(
         "estimation", n, eps, T, adversary, reps, root_seed, path,
-        batched, megakernel, max_slots, faults,
+        batched, max_slots, faults,
     ))
 
 
 def sweep_cell(
     n: int, eps: float, T: int, adversary: str, reps: int, root_seed: int, *path: int,
-    batched: bool = True, megakernel: bool = False, max_slots: int | None = None,
-    faults=None,
+    batched: bool = True, max_slots: int | None = None, faults=None,
 ) -> list:
     """Replicated Nakano--Olariu doubling-sweep (CD) baseline runs."""
     return run_cell_direct(CellSpec(
         "sweep", n, eps, T, adversary, reps, root_seed, path,
-        batched, megakernel, max_slots, faults,
+        batched, max_slots, faults,
     ))
 
 
 def nocd_cell(
     n: int, eps: float, T: int, adversary: str, reps: int, root_seed: int, *path: int,
-    batched: bool = True, megakernel: bool = False, max_slots: int | None = None,
-    faults=None,
+    batched: bool = True, max_slots: int | None = None, faults=None,
 ) -> list:
     """Replicated no-CD repeated-sweep baseline runs."""
     return run_cell_direct(CellSpec(
         "nocd", n, eps, T, adversary, reps, root_seed, path,
-        batched, megakernel, max_slots, faults,
+        batched, max_slots, faults,
     ))
 
 
@@ -267,10 +259,7 @@ class CellSpec:
     ``path`` is the cell's seed-derivation path exactly as passed to the
     unsharded cell functions.  ``faults`` composes a model-level
     :class:`~repro.resilience.faults.FaultModel` into the cell (applied on
-    both engine paths); ``megakernel`` routes the batched path through
-    the slot-blocked megakernel engine (ineligible configurations
-    delegate back to the batched engine inside the engine; the results
-    are the same bits either way).
+    both engine paths).
     """
 
     kind: str
@@ -282,7 +271,6 @@ class CellSpec:
     root_seed: int
     path: tuple[int, ...]
     batched: bool = True
-    megakernel: bool = False
     max_slots: int | None = None
     faults: object | None = None  # resilience.faults.FaultModel
 
@@ -314,8 +302,6 @@ class CellSpec:
         }
         if not self.batched:
             data["batched"] = self.batched
-        if self.megakernel:
-            data["megakernel"] = self.megakernel
         if self.max_slots is not None:
             data["max_slots"] = self.max_slots
         if self.faults is not None:

@@ -29,9 +29,9 @@ ADVERSARIES = ("none", "saturating", "single-suppressor", "estimator-attacker")
 def run(preset: str = "small", seed: int = 2015) -> Table:
     """Run experiment T1 at *preset* scale and return its table.
 
-    Every cell runs on the slot-blocked megakernel: the oblivious cells
-    (``none``/``saturating``) take its fused fast path, and the adaptive
-    ones delegate back to the batched engine inside the megakernel.
+    The oblivious cells (``none``/``saturating``) take the slot-blocked
+    megakernel's fused fast path, and the adaptive ones the batched
+    engine's per-slot loop.
     """
     ns = preset_value(preset, [64, 256, 1024], [16, 64, 256, 1024, 4096, 16384, 65536])
     reps = preset_value(preset, 20, 200)
@@ -65,7 +65,6 @@ def run(preset: str = "small", seed: int = 2015) -> Table:
                 1,
                 ADVERSARIES.index(adversary),
                 ni,
-                megakernel=True,
             )
             stats = summarize_times(results)
             table.add_row(

@@ -51,9 +51,7 @@ def run(preset: str = "small", seed: int = 2016) -> Table:
         ],
     )
     for ei, eps in enumerate(eps_values):
-        results = lesk_cell(
-            n, eps, T, adversary, reps, seed, 2, ei, megakernel=True
-        )
+        results = lesk_cell(n, eps, T, adversary, reps, seed, 2, ei)
         stats = summarize_times(results)
         bound = lesk_time_bound(n, eps, T)
         jam_fraction = sum(r.jams for r in results) / max(1, sum(r.slots for r in results))

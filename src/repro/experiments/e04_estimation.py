@@ -60,7 +60,7 @@ def run(preset: str = "small", seed: int = 2018) -> Table:
     specs = [
         CellSpec(
             kind="estimation", n=n, eps=eps, T=T, adversary=adversary,
-            reps=reps, root_seed=seed, path=(4, gi, ti), megakernel=True,
+            reps=reps, root_seed=seed, path=(4, gi, ti),
         )
         for gi, n in enumerate(ns)
         for ti, T in enumerate(Ts)

@@ -40,8 +40,9 @@ def _run_ars(n: int, eps: float, T: int, adversary: str, seed: int, max_slots: i
 def run(preset: str = "small", seed: int = 2021) -> Table:
     """Run experiment T7 at *preset* scale and return its table.
 
-    The LESK side runs on the batched engine; the ARS baseline is a
-    per-station machine and stays scalar.
+    The LESK side runs on the megakernel's fused path (the saturating
+    jammer is oblivious); the ARS baseline is a per-station machine and
+    stays scalar.
     """
     ns = preset_value(preset, [32, 128, 512], [32, 128, 512, 2048, 8192, 32768])
     reps = preset_value(preset, 8, 40)

@@ -66,13 +66,14 @@ def run(preset: str = "small", seed: int = 2022) -> Table:
 
     With the adaptive family vectorized, *every* suite strategy runs
     through the batched engine, and the jam-efficiency counters it
-    publishes are the same families the scalar engines feed.  The sweep
-    cells run on the megakernel: every live sweep column follows one
-    exponent sequence, so the oblivious jammers and the adaptive ones
-    that read only ``p`` or ``u`` take its fused path (their unelected
-    runs reach the cap mostly through ``p = 0`` stretches that draw
-    nothing), while ``random`` and ``reactive`` delegate back to the
-    batched engine inside it, bit for bit.
+    publishes are the same families the scalar engines feed.  Every live
+    sweep column follows one exponent sequence, so the sweep cells take
+    the megakernel's fused path under the oblivious jammers and the
+    adaptive ones that read only ``p`` or ``u`` (their unelected runs
+    reach the cap mostly through ``p = 0`` stretches that draw nothing),
+    and so do the LESK cells under the oblivious jammers; ``random`` and
+    ``reactive`` run the batched engine's per-slot loop, bit for bit the
+    same stream.
     """
     n = preset_value(preset, 1024, 4096)
     reps = preset_value(preset, 15, 150)
@@ -108,7 +109,7 @@ def run(preset: str = "small", seed: int = 2022) -> Table:
         CellSpec(
             kind="sweep", n=n, eps=eps, T=T, adversary=strategy,
             reps=reps, root_seed=seed, path=(8, si, 1),
-            megakernel=True, max_slots=sweep_budget,
+            max_slots=sweep_budget,
         )
         for si, strategy in enumerate(strategies)
     ]

@@ -52,8 +52,7 @@ def run(preset: str = "small", seed: int = 2026) -> Table:
     for mi, mult in enumerate(multipliers):
         budget = max(4, int(mult * bound))
         results = lesk_cell(
-            n, eps, T, adversary, reps, seed, 12, mi,
-            megakernel=True, max_slots=budget,
+            n, eps, T, adversary, reps, seed, 12, mi, max_slots=budget,
         )
         successes = sum(1 for r in results if r.elected)
         lo, hi = wilson_interval(successes, len(results))

@@ -62,8 +62,7 @@ def run(preset: str = "small", seed: int = 2029) -> Table:
     nocd_specs = [
         CellSpec(
             kind="nocd", n=n, eps=eps, T=T, adversary=adversary,
-            reps=reps, root_seed=seed, path=(15, ni, 0),
-            megakernel=True, max_slots=cap,
+            reps=reps, root_seed=seed, path=(15, ni, 0), max_slots=cap,
         )
         for ni, n in enumerate(ns)
     ]

@@ -23,8 +23,9 @@ EXPERIMENT = "A8"
 def run(preset: str = "small", seed: int = 2034) -> Table:
     """Run experiment A8 at *preset* scale and return its table.
 
-    The jam-free baseline runs on the batched engine; the evolutionary
-    search evaluates candidate scripts through the scalar engine.
+    The jam-free baseline runs on the megakernel's fused path; the
+    evolutionary search evaluates candidate scripts through the scalar
+    engine.
     """
     grid = preset_value(preset, [(256, 0.5, 16)], [(256, 0.5, 16), (1024, 0.4, 32)])
     generations = preset_value(preset, 12, 120)

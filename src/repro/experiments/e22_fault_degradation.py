@@ -35,7 +35,6 @@ from repro.experiments.harness import (
     Column,
     Table,
     preset_value,
-    record_engine_fallback,
     replicate,
     replicate_vectorized,
     summarize_times,
@@ -148,7 +147,6 @@ def run(preset: str = "small", seed: int = 2026) -> Table:
                         audit_eps=eps,
                     )
                 else:
-                    record_engine_fallback("e22-churn", "restart-supervision")
                     results = replicate(
                         lambda s: elect_leader(
                             n=n,

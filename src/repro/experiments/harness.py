@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "replicate_batched",
     "replicate_megakernel",
     "replicate_vectorized",
-    "record_engine_fallback",
     "SHARD_BLOCK_TAG",
     "summarize_times",
     "preset_value",
@@ -207,6 +205,9 @@ def replicate_batched(
     :func:`repro.sim.batched.simulate_uniform_batched` call and returns the
     per-replication :class:`~repro.sim.metrics.RunResult` list, so the same
     ``summarize_times`` summary dicts come out as from the scalar loop.
+    This is the per-slot engine alone: the cells run through
+    :func:`replicate_megakernel`, and the tests hold them to this
+    function's bits.
 
     Seeding is path-stable via :func:`repro.rng.derive_seed` exactly like
     :func:`replicate`: the batch seed derives from ``(root_seed, *path)``,
@@ -247,22 +248,21 @@ def replicate_megakernel(
     max_slots: int,
     faults=None,
 ) -> list:
-    """Megakernel counterpart of :func:`replicate_batched`.
+    """The batched entry point of every cell: fused path when eligible.
 
     Routes the cell through
-    :func:`repro.sim.megakernel.simulate_uniform_megakernel`: oblivious
-    (schedulable) adversaries, and the adaptive ones that read only the
-    protocol state of a sweep, no-CD sweep or Estimation, run the
-    slot-blocked fused fast path, and every configuration the fast path
-    cannot serve -- other adaptive strategies, non-ladder policies,
-    enabled fault models -- delegates to
-    the batched engine with the original arguments, byte-identical to
-    :func:`replicate_batched` having been called directly (the fallback
-    is loud: ``engine_fallback_total{engine="megakernel"}``).
+    :func:`repro.sim.megakernel.simulate_uniform_megakernel`, whose
+    eligibility probe picks the path: oblivious (schedulable) adversaries,
+    and the adaptive ones that read only the protocol state of a sweep,
+    no-CD sweep or Estimation, run the slot-blocked fused path; every
+    other configuration -- feedback-reading or randomized strategies,
+    state-reading ones under LESK, LESU, enabled fault models -- runs the
+    batched engine's per-slot loop with the original arguments, and
+    counts ``engine_fallback_total{engine="megakernel",reason}``.
 
     Seeding is path-stable exactly like :func:`replicate_batched`, and
     the fused path consumes the batched engine's stream, so the results
-    are bit-identical to :func:`replicate_batched` either way.
+    are bit-identical to :func:`replicate_batched` on either path.
     """
     if reps < 1:
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
@@ -343,33 +343,6 @@ def replicate_vectorized(
     return results
 
 
-#: Components already warned about in this process -- the fallback warning
-#: fires once per component, the telemetry counter on every fallback.
-_FALLBACK_WARNED: set[str] = set()
-
-_log = logging.getLogger(__name__)
-
-
-def record_engine_fallback(component: str, reason: str) -> None:
-    """Record a silent-no-more fallback from the batched to the scalar path.
-
-    Increments ``engine_fallback_total{reason=...}`` (a no-op when telemetry
-    is disabled) and emits a one-time :mod:`logging` warning naming the
-    unbatchable *component*, so a cell quietly running ~10x slower leaves a
-    visible trace in both the metrics and the log.
-    """
-    get_telemetry().counter("engine_fallback_total", reason=reason).inc()
-    if component not in _FALLBACK_WARNED:
-        _FALLBACK_WARNED.add(component)
-        _log.warning(
-            "batched engine requested but %s has no vectorized "
-            "implementation (reason=%s); falling back to the scalar "
-            "per-slot loop",
-            component,
-            reason,
-        )
-
-
 #: Seed-path component separating shard block indices from repetition
 #: indices: a rep-block's seed derives from ``(root_seed, *cell_path,
 #: SHARD_BLOCK_TAG, block_index)``, which cannot collide with any unsharded
@@ -436,7 +409,3 @@ def summarize_times(
         "max_slots": float(slots.max()),
     }
 
-
-def render_tables(tables: Iterable[Table]) -> str:
-    """Render several tables separated by blank lines."""
-    return "\n\n".join(t.render() for t in tables)

@@ -73,6 +73,12 @@ BLOCK_CHECKPOINT_FORMAT = 1
 #: are noticed promptly even when no result or deadline is imminent.
 _WAIT_CAP_S = 0.5
 
+#: Straggler speculation: once ``_STRAGGLER_MIN_DONE`` blocks have
+#: completed, a block running longer than ``_STRAGGLER_FACTOR`` x the
+#: median completed block (and 50 ms) is duplicated onto an idle worker.
+_STRAGGLER_FACTOR = 4.0
+_STRAGGLER_MIN_DONE = 3
+
 
 # -- ambient shard context --------------------------------------------------
 
@@ -300,8 +306,6 @@ class SupervisionConfig:
     block_timeout: float | None = None
     keep_going: bool = False
     speculate: bool = True
-    straggler_factor: float = 4.0
-    straggler_min_done: int = 3
     fault_plan: object | None = None  # experiments.faults.FaultPlan
 
     def __post_init__(self):
@@ -310,10 +314,6 @@ class SupervisionConfig:
         if self.block_timeout is not None and self.block_timeout <= 0:
             raise ConfigurationError(
                 f"block_timeout must be > 0, got {self.block_timeout}"
-            )
-        if self.straggler_factor <= 1.0:
-            raise ConfigurationError(
-                f"straggler_factor must be > 1, got {self.straggler_factor}"
             )
 
 
@@ -526,14 +526,14 @@ class BlockSupervisor:
         """Duplicate stragglers onto idle workers once nothing is queued.
 
         A straggler is the longest-running block not yet duplicated whose
-        run exceeds ``straggler_factor`` x the median completed block (and
-        50 ms), once ``straggler_min_done`` blocks have completed.
+        run exceeds ``_STRAGGLER_FACTOR`` x the median completed block (and
+        50 ms), once ``_STRAGGLER_MIN_DONE`` blocks have completed.
         """
-        if (len(self._done_elapsed) < self.config.straggler_min_done
+        if (len(self._done_elapsed) < _STRAGGLER_MIN_DONE
                 or pool.has_pending() or not pool.idle()):
             return
         done = sorted(self._done_elapsed)
-        threshold = max(self.config.straggler_factor * done[len(done) // 2], 0.05)
+        threshold = max(_STRAGGLER_FACTOR * done[len(done) // 2], 0.05)
         while pool.idle():
             now = time.monotonic()
             candidates = [

@@ -20,8 +20,6 @@ False
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = [
@@ -66,24 +64,3 @@ def derive_seed(root_seed: int, *path: int) -> int:
     """
     ss = np.random.SeedSequence([root_seed, *path])
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
-
-
-def check_probability(p: float, what: str = "probability") -> float:
-    """Validate that *p* lies in [0, 1] and return it."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"{what} must be in [0, 1], got {p!r}")
-    return float(p)
-
-
-def bernoulli(rng: np.random.Generator, p: float) -> bool:
-    """Draw a single Bernoulli(p) sample."""
-    if p <= 0.0:
-        return False
-    if p >= 1.0:
-        return True
-    return bool(rng.random() < p)
-
-
-def seeds_for(reps: int, root_seed: int, *path: int) -> Sequence[int]:
-    """Stable per-repetition seeds for an experiment row."""
-    return [derive_seed(root_seed, *path, r) for r in range(reps)]

@@ -137,11 +137,13 @@ def simulate_uniform_batched(
     reps: int,
     max_slots: int,
     root_seed: RngLike = None,
-    halt_on_single: bool = True,
     faults=None,
     auditor=None,
 ) -> BatchRunResult:
     """Run *reps* independent replications of a uniform policy in lockstep.
+
+    A column retires at its first successful (heard) ``Single`` -- the
+    election -- or when its policy completes, or at *max_slots*.
 
     Parameters
     ----------
@@ -158,11 +160,9 @@ def simulate_uniform_batched(
         Hard per-replication slot limit.
     root_seed:
         Root seed or generator for the whole batch.
-    halt_on_single:
-        Retire a column at its first successful ``Single`` (election).
     faults:
-        Optional :class:`~repro.resilience.faults.FaultModel` (or a
-        realized :class:`~repro.resilience.faults.BatchFaultState`).  The
+        Optional :class:`~repro.resilience.faults.FaultModel`, realized
+        here as a :class:`~repro.resilience.faults.BatchFaultState`.  The
         churn realization is shared across columns; rate-based corruption
         is drawn per column per slot (vectorized fault masks).
         ``None``/disabled keeps the batch bit-identical to a fault-free
@@ -409,38 +409,32 @@ def simulate_uniform_batched(
             # Singles go unnoticed and the column keeps running.
             successful_single &= (observed == _SINGLE) & ~erase
 
-        if halt_on_single:
-            # A live column with a successful Single always wins here, and
-            # a winner can never have first_single set already (it would
-            # have won that earlier slot), so the fresh-single update
-            # collapses into the win handling.  Retired columns draw no
-            # transmitters (k == 0), so they can never win again.
-            won = successful_single
-            if won.any():
-                pos = np.flatnonzero(won)
-                orig = live_orig[pos]
-                fs_live[pos] = slot
-                # By symmetry the successful transmitter is uniform over
-                # the stations awake in the slot (all stations, fault-free).
-                if bf is not None:
-                    chosen = bf.pick_awake_stations(slot, pos.size, rng)
-                    leaders[orig] = chosen
-                    leader_survived[orig] = bf.leaders_survive(chosen)
-                else:
-                    leaders[orig] = rng.integers(n, size=pos.size)
-                elected[orig] = True
-                snapshot(pos, orig, slot)
-                live_active[pos] = False
-                active_full[orig] = False
-                pending_retired = True
-                all_live = False
-                n_live -= pos.size
-                if n_live == 0:
-                    break
-        else:
-            fresh_single = live_active & successful_single & (fs_live < 0)
-            if fresh_single.any():
-                fs_live[fresh_single] = slot
+        # A live column with a successful Single always wins here, and a
+        # winner can never have first_single set already (it would have
+        # won that earlier slot), so the fresh-single update collapses
+        # into the win handling.  Retired columns draw no transmitters
+        # (k == 0), so they can never win again.
+        if successful_single.any():
+            pos = np.flatnonzero(successful_single)
+            orig = live_orig[pos]
+            fs_live[pos] = slot
+            # By symmetry the successful transmitter is uniform over the
+            # stations awake in the slot (all stations, fault-free).
+            if bf is not None:
+                chosen = bf.pick_awake_stations(slot, pos.size, rng)
+                leaders[orig] = chosen
+                leader_survived[orig] = bf.leaders_survive(chosen)
+            else:
+                leaders[orig] = rng.integers(n, size=pos.size)
+            elected[orig] = True
+            snapshot(pos, orig, slot)
+            live_active[pos] = False
+            active_full[orig] = False
+            pending_retired = True
+            all_live = False
+            n_live -= pos.size
+            if n_live == 0:
+                break
 
         if bf is not None:
             # Erased columns get no feedback: their policies skip the slot.
@@ -508,14 +502,12 @@ def _realize_batch_faults(faults, n: int, reps: int, max_slots: int, rng):
     """Batched counterpart of :func:`repro.sim.engine._realize_faults`."""
     if faults is None:
         return None
-    from repro.resilience.faults import BatchFaultState, FaultModel
+    from repro.resilience.faults import FaultModel
 
-    if isinstance(faults, FaultModel):
-        if not faults.enabled:
-            return None
-        return faults.realize_batch(n, reps, max_slots, rng.spawn(1)[0])
-    if isinstance(faults, BatchFaultState):
-        return faults
-    raise ConfigurationError(
-        f"faults must be a FaultModel or BatchFaultState, got {type(faults).__name__}"
-    )
+    if not isinstance(faults, FaultModel):
+        raise ConfigurationError(
+            f"faults must be a FaultModel, got {type(faults).__name__}"
+        )
+    if not faults.enabled:
+        return None
+    return faults.realize_batch(n, reps, max_slots, rng.spawn(1)[0])

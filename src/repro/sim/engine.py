@@ -14,7 +14,7 @@ fast engine.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.adversary.base import Adversary, AdversaryView
 from repro.channel.channel import resolve_slot
@@ -312,10 +312,3 @@ def _all_live_done(stations, realized, slot: int) -> bool:
     return all(
         s.done or (0 <= crash[sid] <= slot) for sid, s in enumerate(stations)
     )
-
-
-def build_stations(factory: Callable[[], StationProtocol], n: int) -> list[StationProtocol]:
-    """Construct *n* fresh stations from a zero-argument factory."""
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
-    return [factory() for _ in range(n)]

@@ -69,24 +69,25 @@ exactly like the unsplit ones -- ``_BLOCK_SLOTS = 1`` is
 bit-identical to ``_BLOCK_SLOTS >= max_slots`` (property-tested in
 ``tests/sim/test_megakernel.py``, which forces the private constant).
 
-Fallback triggers
------------------
-Anything that makes per-slot conditioning real falls back to
+Eligibility
+-----------
+Every batched experiment cell enters here
+(:func:`repro.experiments.harness.replicate_megakernel`), and
+:func:`megakernel_eligibility` picks its path.  Anything that makes
+per-slot conditioning real runs
 :func:`repro.sim.batched.simulate_uniform_batched` with the original
-arguments, recording a loud one-time ``engine_fallback_total`` counter:
+arguments and counts ``engine_fallback_total{engine="megakernel",reason}``:
 randomized strategies (no ``want_schedule``), strategies with feedback
 hooks (the reactive jammer), state-reading strategies under LESK (its
-columns' exponents differ, so it offers no shared state),
-non-default adversary classes, strict budgets, enabled
-fault models, auditors, ``halt_on_single=False``, and policies outside
-the supported set (LESK / sweep / no-CD sweep / Estimation).  Both paths
-consume one stream, so whether a configuration takes the fast path or the
-fallback never changes a result bit.
+columns' exponents differ, so it offers no shared state), non-default
+adversary classes, strict budgets, enabled fault models, and policies
+outside the supported set (LESK / sweep / no-CD sweep / Estimation).
+Both paths consume one stream, so the path a configuration takes never
+changes a result bit.  Audited runs call the batched engine directly.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from typing import Callable
@@ -125,26 +126,12 @@ __all__ = [
 #: that may all retire early.
 _BLOCK_SLOTS = 64
 
-_log = logging.getLogger(__name__)
-
-#: Fallback reasons already warned about in this process -- the warning
-#: fires once per reason, the telemetry counter on every fallback.
-_FALLBACK_WARNED: set[str] = set()
-
 
 def _record_fallback(reason: str) -> None:
-    """Loud one-time note that a megakernel request ran per-slot instead."""
+    """Count a run that the eligibility probe sent to the per-slot loop."""
     get_telemetry().counter(
         "engine_fallback_total", engine="megakernel", reason=reason
     ).inc()
-    if reason not in _FALLBACK_WARNED:
-        _FALLBACK_WARNED.add(reason)
-        _log.warning(
-            "megakernel engine requested but the configuration conditions "
-            "per slot (reason=%s); falling back to the batched per-slot "
-            "loop",
-            reason,
-        )
 
 
 def _grant_block(
@@ -559,25 +546,13 @@ def _state_view(
     )
 
 
-def megakernel_eligibility(
-    policy,
-    adversary,
-    *,
-    n: int,
-    halt_on_single: bool = True,
-    faults=None,
-    auditor=None,
-) -> str | None:
+def megakernel_eligibility(policy, adversary, *, n: int, faults=None) -> str | None:
     """Return ``None`` when the fused fast path applies, else the reason
     the configuration must run per-slot (used as the fallback label).
 
     The strategy must give slot 0 a want schedule, offered the state view
     of the policy's ladder (of *n* stations) when its columns share one.
     """
-    if not halt_on_single:
-        return "halt_on_single"
-    if auditor is not None:
-        return "auditor"
     if faults is not None:
         from repro.resilience.faults import FaultModel
 
@@ -609,17 +584,15 @@ def simulate_uniform_megakernel(
     reps: int,
     max_slots: int,
     root_seed: RngLike = None,
-    halt_on_single: bool = True,
     faults=None,
-    auditor=None,
 ) -> BatchRunResult:
-    """Run *reps* replications through the slot-blocked fused fast path.
+    """Run *reps* replications, on the fused fast path when eligible.
 
     Drop-in compatible with :func:`simulate_uniform_batched` (same
     factories, same :class:`BatchRunResult`); configurations the fast path
-    cannot serve delegate to the batched engine with the original
-    arguments -- before the root seed is touched, so the delegated run is
-    byte-identical to calling the batched engine directly.
+    cannot serve (:func:`megakernel_eligibility`) run the batched engine
+    with the original arguments -- before the root seed is touched, so
+    that run is byte-identical to calling the batched engine directly.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
@@ -634,14 +607,7 @@ def simulate_uniform_megakernel(
             f"policy_factory built reps={policy.reps}, expected {reps}"
         )
     adversary = adversary_factory(reps)
-    reason = megakernel_eligibility(
-        policy,
-        adversary,
-        n=n,
-        halt_on_single=halt_on_single,
-        faults=faults,
-        auditor=auditor,
-    )
+    reason = megakernel_eligibility(policy, adversary, n=n, faults=faults)
     if reason is not None:
         _record_fallback(reason)
         return simulate_uniform_batched(
@@ -651,9 +617,7 @@ def simulate_uniform_megakernel(
             reps,
             max_slots,
             root_seed=root_seed,
-            halt_on_single=halt_on_single,
             faults=faults,
-            auditor=auditor,
         )
 
     # -- prelude: byte-compatible with the batched engine -----------------

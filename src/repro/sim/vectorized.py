@@ -116,12 +116,14 @@ def simulate_stations_vectorized(
     max_slots: int,
     root_seed: RngLike = None,
     cd_mode: CDMode = CDMode.STRONG,
-    stop_on_first_single: bool = True,
-    stop_when_all_done: bool = True,
     faults=None,
     auditor=None,
 ) -> BatchRunResult:
     """Run *reps* faithful per-station replications in NumPy lockstep.
+
+    A replication retires at its first *heard* successful ``Single``,
+    unless its policy resolves Singles itself, and once every station is
+    done or permanently crashed (the Notification criterion).
 
     Parameters
     ----------
@@ -149,12 +151,6 @@ def simulate_stations_vectorized(
     cd_mode:
         ``STRONG`` or ``WEAK`` (uniform ``Broadcast`` protocols need a CD
         model, mirroring ``UniformStationAdapter``).
-    stop_on_first_single:
-        Retire a replication at its first *heard* successful ``Single``
-        (ignored for a policy that resolves Singles itself).
-    stop_when_all_done:
-        Retire a replication once every station is done or permanently
-        crashed (the Notification criterion).
     faults:
         Optional :class:`~repro.resilience.faults.FaultModel`, realized
         independently per replication (per-station churn, per-rep
@@ -199,7 +195,6 @@ def simulate_stations_vectorized(
             raise ConfigurationError(
                 f"{type(policy).__name__} resolves Singles itself: run it in weak CD"
             )
-        stop_on_first_single = False
         probe_cells = np.arange(reps) * n  # station 0 of each replication
     adversary = adversary_factory(reps)
     adversary.reset(seed=root.spawn(1)[0])
@@ -399,17 +394,17 @@ def simulate_stations_vectorized(
             )
         cell_done |= policy.completed.reshape(reps, cols)
 
-        if stop_when_all_done:
-            finished = rep_active & (cell_done | crashed).all(axis=1)
-            if stop_on_first_single and any_heard:
-                finished &= ~heard
-            if finished.any():
-                rows = np.flatnonzero(finished)
-                counts = cell_leader[rows].sum(axis=1)
-                elected[rows] = counts == 1
-                policy_done[rows] = True
-                retire(rows, slot)
-        if stop_on_first_single and any_heard:
+        finished = rep_active & (cell_done | crashed).all(axis=1)
+        halts = any_heard and not resolves
+        if halts:
+            finished &= ~heard
+        if finished.any():
+            rows = np.flatnonzero(finished)
+            counts = cell_leader[rows].sum(axis=1)
+            elected[rows] = counts == 1
+            policy_done[rows] = True
+            retire(rows, slot)
+        if halts:
             rows = np.flatnonzero(heard)
             elected[rows] = True
             retire(rows, slot)

@@ -1,10 +1,10 @@
 """Fixed-seed pins for the five cell kinds on both engine paths.
 
-Each kind runs one cell on the batched engine and on the scalar fast
-engine (``batched=False``), with faults off and on, and the megakernel
-flag must change no bit on either path.  A second cell per kind erases
-every slot's feedback, so each of its runs ends at the kind's default
-slot cap: a kind built with the wrong policy or the wrong cap shows here.
+Each kind runs one cell on the batched engines and on the scalar fast
+engine (``batched=False``), with faults off and on.  A second cell per
+kind erases every slot's feedback, so each of its runs ends at the
+kind's default slot cap: a kind built with the wrong policy or the wrong
+cap shows here.
 """
 
 from __future__ import annotations
@@ -117,24 +117,18 @@ def _key(results) -> tuple:
 @pytest.mark.parametrize("engine", ["batched", "scalar"])
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_cell_pin(kind, engine, faults):
-    cell = CELL_KINDS[kind]
-    for megakernel in (False, True):
-        results = cell(
-            512, 0.5, 8, "saturating", 4, 7, 5,
-            batched=engine == "batched", megakernel=megakernel,
-            faults=FAULTS[faults],
-        )
-        assert _key(results) == PINS[kind, engine, faults], megakernel
+    results = CELL_KINDS[kind](
+        512, 0.5, 8, "saturating", 4, 7, 5,
+        batched=engine == "batched", faults=FAULTS[faults],
+    )
+    assert _key(results) == PINS[kind, engine, faults]
 
 
 @pytest.mark.parametrize("engine", ["batched", "scalar"])
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_runs_end_at_the_default_cap(kind, engine):
-    cell = CELL_KINDS[kind]
-    for megakernel in (False, True):
-        results = cell(
-            2, 0.9, 1, "saturating", 2, 23, 6,
-            batched=engine == "batched", megakernel=megakernel,
-            faults=FaultModel(erase_rate=1.0),
-        )
-        assert [(r.slots, r.elected) for r in results] == [(CAPS[kind], False)] * 2
+    results = CELL_KINDS[kind](
+        2, 0.9, 1, "saturating", 2, 23, 6,
+        batched=engine == "batched", faults=FaultModel(erase_rate=1.0),
+    )
+    assert [(r.slots, r.elected) for r in results] == [(CAPS[kind], False)] * 2

@@ -9,7 +9,6 @@ from repro.experiments.harness import (
     Column,
     Table,
     preset_value,
-    render_tables,
     replicate,
     summarize_times,
 )
@@ -66,10 +65,6 @@ class TestTable:
         t.add_row(n=4, v=1.0)
         t.add_row(n=8, v=2.0)
         assert t.column_values("n") == [4, 8]
-
-    def test_render_tables_joins(self):
-        t1, t2 = self.make(), self.make()
-        assert render_tables([t1, t2]).count("TX: demo") == 2
 
     def test_format_fallback_for_unformattable(self):
         t = self.make()

@@ -178,10 +178,7 @@ class TestCorruptResult:
 
 class TestSpeculation:
     def test_straggler_is_speculated_first_result_wins(self):
-        config = SupervisionConfig(
-            jobs=2, retry=FAST_RETRY, straggler_min_done=3,
-            straggler_factor=4.0,
-        )
+        config = SupervisionConfig(jobs=2, retry=FAST_RETRY)
         items = [(0, b, (0.0,)) for b in range(6)] + [(0, 6, (0.6,))]
         payloads, report = BlockSupervisor(_sleepy, config).run(items, 1)
         assert report.ok and report.completed == 7
@@ -336,10 +333,6 @@ class TestValidation:
     def test_bad_block_timeout(self):
         with pytest.raises(ConfigurationError):
             SupervisionConfig(block_timeout=0.0)
-
-    def test_bad_straggler_factor(self):
-        with pytest.raises(ConfigurationError):
-            SupervisionConfig(straggler_factor=1.0)
 
 
 class TestRunAllIntegration:

@@ -4,22 +4,20 @@
 The determinism law: the rep-block partition and per-block seeds depend
 only on ``(reps, block_size)`` and the spec's seed path -- never on the
 job count -- so any ``jobs`` produces bit-identical results.  Telemetry
-shards produced inside worker processes must come home to the parent sink,
-and an unbatchable component must fall back *loudly* (counter + one-time
-warning), never silently.
+shards produced inside worker processes must come home to the parent sink.
+A batched cell takes the megakernel's fused path exactly when it is
+eligible, and counts each run it sends to the per-slot loop.
 """
 
 from __future__ import annotations
-
-import logging
 
 import pytest
 
 from repro import telemetry
 from repro.core.config import default_slot_budget
 from repro.errors import ConfigurationError
-from repro.experiments import harness
 from repro.experiments.cells import (
+    CELL_KINDS,
     CellSpec,
     blocks_for,
     cell_slot_budget,
@@ -27,7 +25,6 @@ from repro.experiments.cells import (
     lesu_cell,
     run_cells_sharded,
 )
-from repro.experiments.harness import record_engine_fallback
 
 SPECS = [
     CellSpec(
@@ -180,15 +177,35 @@ class TestTelemetryMerge:
 
 
 class TestLoudFallback:
-    def test_counter_and_warning(self, monkeypatch, caplog):
-        monkeypatch.setattr(harness, "_FALLBACK_WARNED", set())
+    @pytest.mark.parametrize(
+        "kind, adversary, reason",
+        [
+            ("lesk", "saturating", None),
+            ("estimation", "saturating", None),
+            ("estimation", "single-suppressor", None),
+            ("lesu", "saturating", "policy:VectorLESUPolicy"),
+            ("lesk", "reactive", "strategy-feedback:reactive"),
+        ],
+    )
+    def test_cells_take_the_fused_path_when_eligible(self, kind, adversary, reason):
+        """Every batched cell enters the megakernel: an eligible one runs
+        its four replications on the fused path and counts no fallback,
+        an ineligible one runs them on the per-slot loop and counts one
+        fallback, labelled with its reason."""
         with telemetry.collecting() as sink:
-            with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
-                record_engine_fallback("adversary 'hypothetical'", reason="test")
-                record_engine_fallback("adversary 'hypothetical'", reason="test")
-        assert sink.metrics.counter_total("engine_fallback_total") == 2
-        warnings = [r for r in caplog.records if "no vectorized" in r.getMessage()]
-        assert len(warnings) == 1  # warned once, counted twice
+            CELL_KINDS[kind](64, 0.5, 8, adversary, 4, 13, 0)
+        metrics = sink.metrics
+        engine = "megakernel" if reason is None else "batched"
+        assert metrics.counter_total("engine_runs_total") == 4
+        assert metrics.counter_value("engine_runs_total", engine=engine) == 4
+        fallbacks = metrics.counter_total("engine_fallback_total")
+        if reason is None:
+            assert fallbacks == 0
+        else:
+            assert fallbacks == 1
+            assert metrics.counter_value(
+                "engine_fallback_total", engine="megakernel", reason=reason
+            ) == 1
 
     def test_unbatchable_adversary_is_a_configuration_error(self, monkeypatch):
         """A batched cell never falls back to the scalar path: a strategy

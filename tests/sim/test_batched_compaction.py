@@ -78,7 +78,7 @@ CASES = {
         {},
     ),
     "estimation-completes": (
-        dict(n=256, max_slots=400, halt_on_single=False),
+        dict(n=256, max_slots=400),
         VectorEstimationPolicy,
         "collision-forcer",
         8,

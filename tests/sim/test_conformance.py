@@ -17,8 +17,9 @@ editing these registries; each is then checked for
   always end with exactly one leader and every station done;
 * **determinism** -- the same seed gives the same bits;
 * **one stream** -- the megakernel and the batched engine consume one
-  bitstream, so ``CellSpec(megakernel=True)`` returns exactly the results
-  of ``megakernel=False`` for every cell kind, oblivious, state-reading
+  bitstream, so a batched cell, whichever path its eligibility picks,
+  returns exactly what the batched engine alone returns for the same
+  factories and seed path, for every cell kind, oblivious, state-reading
   or history-reading adversary, faults off or on;
 * **lockstep** -- on seeded scripts, each scalar policy (alone, and inside
   a strong-CD :class:`UniformStationAdapter` fed through ``feedback_for``)
@@ -54,8 +55,9 @@ from repro.adversary.vector import (
 )
 from repro.channel.feedback import feedback_for
 from repro.channel.trace import ChannelTrace
-from repro.experiments.cells import CELL_KINDS, CellSpec, run_cell_direct
+from repro.experiments.cells import _KINDS, CELL_KINDS, CellSpec, run_cell_direct
 from repro.experiments.e21_interval_ablation import VectorC3Killer, _c3_killer
+from repro.experiments.harness import replicate_batched
 from repro.protocols.base import UniformStationAdapter
 from repro.protocols.baselines.nakano_olariu import (
     NoCDSweepPolicy,
@@ -486,16 +488,28 @@ FAULTS = FaultModel(flip_rate=0.05, erase_rate=0.05, crash_rate=0.002)
 )
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_megakernel_flag_changes_no_bit(kind, adversary, faults):
-    def cell(megakernel: bool) -> list:
-        return run_cell_direct(
-            CellSpec(
-                kind=kind, n=N, eps=EPS, T=T, adversary=adversary, reps=16,
-                root_seed=5, path=(3, 1), max_slots=4000, faults=faults,
-                megakernel=megakernel,
-            )
+    """Whether the megakernel's eligibility flag sends a cell down the
+    fused path or the per-slot loop, the cell returns exactly what the
+    batched engine alone returns for the same factories and seed path."""
+    vector_policy = _KINDS[kind][0]
+    got = run_cell_direct(
+        CellSpec(
+            kind=kind, n=N, eps=EPS, T=T, adversary=adversary, reps=16,
+            root_seed=5, path=(3, 1), max_slots=4000, faults=faults,
         )
-
-    assert cell(True) == cell(False)
+    )
+    ref = replicate_batched(
+        lambda width: vector_policy(EPS, width),
+        N,
+        lambda width: make_batched_adversary(adversary, T=T, eps=EPS, reps=width),
+        16,
+        5,
+        3,
+        1,
+        max_slots=4000,
+        faults=faults,
+    )
+    assert got == ref
 
 
 # -- lockstep ----------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro.core.election import make_protocol_stations
 from repro.errors import ConfigurationError
 from repro.protocols.base import UniformStationAdapter
 from repro.protocols.lesk import LESKPolicy
-from repro.sim.engine import build_stations, simulate_stations
+from repro.sim.engine import simulate_stations
 from repro.types import CDMode
 
 
@@ -33,13 +33,6 @@ class TestValidation:
                 CDMode.STRONG,
                 max_slots=0,
             )
-
-    def test_build_stations(self):
-        stations = build_stations(lambda: UniformStationAdapter(LESKPolicy(0.5)), 5)
-        assert len(stations) == 5
-        assert stations[0] is not stations[1]
-        with pytest.raises(ConfigurationError):
-            build_stations(lambda: None, 0)
 
 
 class TestStrongCDElection:

@@ -38,6 +38,7 @@ from repro.protocols.vector import (
     VectorNoCDSweepPolicy,
     VectorSweepPolicy,
 )
+from repro.resilience.faults import FaultModel
 from repro.sim import megakernel
 from repro.sim.batched import simulate_uniform_batched
 from repro.sim.megakernel import (
@@ -303,11 +304,10 @@ class TestFallback:
         assert megakernel_eligibility(policy, oblivious, n=N) is None
         estimation = VectorEstimationPolicy(4, L=2)
         assert megakernel_eligibility(estimation, oblivious, n=N) is None
+        faults = FaultModel(flip_rate=0.1)
         assert (
-            megakernel_eligibility(
-                policy, oblivious, n=N, halt_on_single=False
-            )
-            is not None
+            megakernel_eligibility(policy, oblivious, n=N, faults=faults)
+            == "faults"
         )
 
     @pytest.mark.parametrize("strategy", STATE_READERS)

@@ -194,23 +194,6 @@ class TestInvariants:
 
 
 class TestWeakCD:
-    def test_winner_never_learns(self):
-        # The Notification problem: listeners resolve on a heard Single,
-        # but the weak-CD transmitter gets no feedback -- without the
-        # halt-on-single convention no replication ever elects.
-        r = vectorized_lesk(
-            "none",
-            n=16,
-            reps=4,
-            seed=3,
-            max_slots=400,
-            cd_mode=CDMode.WEAK,
-            stop_on_first_single=False,
-        )
-        assert not r.elected.any()
-        assert r.timed_out.all()
-        assert list(r.first_single_slot) == [53, 39, 35, 28]
-
     def test_halt_on_single_still_elects(self):
         r = vectorized_lesk(
             "none", n=16, reps=4, seed=3, max_slots=400, cd_mode=CDMode.WEAK

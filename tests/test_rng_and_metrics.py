@@ -8,15 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.rng import (
-    bernoulli,
-    check_probability,
-    derive_seed,
-    make_rng,
-    seeds_for,
-    spawn,
-    spawn_many,
-)
+from repro.rng import derive_seed, make_rng, spawn, spawn_many
 from repro.sim.metrics import EnergyStats, RunResult
 
 
@@ -62,31 +54,10 @@ class TestDeriveSeed:
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
         assert derive_seed(1, 2) != derive_seed(2, 2)
 
-    def test_seeds_for_are_distinct(self):
-        seeds = seeds_for(16, 9, 1)
-        assert len(set(seeds)) == 16
-
     @given(root=st.integers(min_value=0, max_value=2**31), a=st.integers(0, 100))
     def test_derived_seed_is_valid_63_bit(self, root, a):
         s = derive_seed(root, a)
         assert 0 <= s < 2**63
-
-
-class TestBernoulliAndChecks:
-    def test_degenerate(self):
-        rng = make_rng(0)
-        assert bernoulli(rng, 0.0) is False
-        assert bernoulli(rng, 1.0) is True
-
-    def test_rate(self):
-        rng = make_rng(0)
-        hits = sum(bernoulli(rng, 0.25) for _ in range(4000))
-        assert 0.2 < hits / 4000 < 0.3
-
-    def test_check_probability(self):
-        assert check_probability(0.5) == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5)
 
 
 class TestEnergyStats:
