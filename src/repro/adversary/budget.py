@@ -126,19 +126,21 @@ class JammingBudget:
         self._advance(granted)
         return granted
 
-    def grant_block(self, wants: np.ndarray) -> None:
+    def grant_block(self, wants: np.ndarray) -> np.ndarray:
         """Decide ``len(wants)`` slots in order, exactly as that many
-        :meth:`grant` calls would.
+        :meth:`grant` calls would, and return their granted flags.
 
-        For engines that skip slots where nothing but the budget moves;
+        For engines that decide a block of slots ahead of the slot loop;
         each stretch of slots without a jam request advances in one step.
         """
+        granted = np.zeros(len(wants), dtype=bool)
         done = 0
         for i in np.flatnonzero(wants).tolist():
             self._advance_free(i - done)
-            self.grant(True)
+            granted[i] = self.grant(True)
             done = i + 1
         self._advance_free(len(wants) - done)
+        return granted
 
     # -- internals ----------------------------------------------------------
 

@@ -58,7 +58,9 @@ def _c3_killer(partition) -> object:
 
 class VectorC3Killer(VectorJammingStrategy):
     """:func:`_c3_killer` for a batch: every replication requests a jam
-    exactly in the C_3 slots of *partition*."""
+    exactly in the C_3 slots of *partition*.  The wants are a pure
+    function of the slot, so the strategy has a ``want_schedule`` and the
+    vectorized engine grants them a block at a time."""
 
     name = "c3-killer"
     uses_protocol_u = False
@@ -66,9 +68,17 @@ class VectorC3Killer(VectorJammingStrategy):
     def __init__(self, partition) -> None:
         self.partition = partition
 
+    def _wants(self, slot: int) -> bool:
+        iv = self.partition(slot)
+        return iv is not None and iv.j == 3
+
     def wants_jam_batch(self, view, rng):
-        iv = self.partition(view.slot)
-        return np.full(view.reps, iv is not None and iv.j == 3)
+        return np.full(view.reps, self._wants(view.slot))
+
+    def want_schedule(self, start, count, view=None):
+        return np.fromiter(
+            map(self._wants, range(start, start + count)), dtype=bool, count=count
+        )
 
 
 def _run(n, eps, T, partition, jam: bool, reps: int, seed: int, path, cap: int):

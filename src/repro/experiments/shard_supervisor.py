@@ -253,7 +253,7 @@ class BlockCheckpointStore:
         except (OSError, json.JSONDecodeError):
             return None
         results = data.get("results")
-        if results is None or data.get("checksum") != _results_checksum(results):
+        if results is None or data.get("checksum") != _encode_results(results)[1]:
             return None
         try:
             return [RunResult.from_jsonable(r) for r in results]
@@ -271,27 +271,22 @@ class BlockCheckpointStore:
         """
         from repro.experiments.checkpoint import atomic_write_text
 
-        jsonable = [r.to_jsonable() for r in results]
-        digest = _results_checksum(jsonable)
+        payload, digest = _encode_results([r.to_jsonable() for r in results])
         self.root.mkdir(exist_ok=True)
+        # The sorted-key dump of {"checksum", "format", "results"}, built
+        # around the one encoding of the results.
         atomic_write_text(
             self._path(key),
-            json.dumps(
-                {
-                    "format": BLOCK_CHECKPOINT_FORMAT,
-                    "checksum": digest,
-                    "results": jsonable,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ),
+            f'{{"checksum":"{digest}","format":{BLOCK_CHECKPOINT_FORMAT},'
+            f'"results":{payload}}}',
         )
         return digest
 
 
-def _results_checksum(results_jsonable) -> str:
+def _encode_results(results_jsonable) -> tuple[str, str]:
+    """The results' canonical JSON text and its SHA-256 checksum."""
     payload = json.dumps(results_jsonable, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return payload, hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # -- supervision configuration ---------------------------------------------

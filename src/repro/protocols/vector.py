@@ -135,7 +135,10 @@ class VectorUniformPolicy(abc.ABC):
 
     def probe(self, cells: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
         """``(p, u)`` hints of the selected *cells* before slot *step*
-        begins -- only for policies whose :attr:`is_leader` is not None."""
+        begins -- only for policies whose :attr:`is_leader` is not None.
+
+        It must not change the policy: the engine skips it when the
+        adversary's jams are granted a block at a time."""
         raise NotImplementedError(f"{type(self).__name__} resolves no Singles")
 
     def compact(self, keep: np.ndarray) -> None:
@@ -178,8 +181,6 @@ class VectorLESKPolicy(VectorUniformPolicy):
         self.floor_at_zero = floor_at_zero
         self._u = np.full(self.reps, self.initial_u)
         self._completed = np.zeros(self.reps, dtype=bool)
-        self.nulls_seen = np.zeros(self.reps, dtype=np.int64)
-        self.collisions_seen = np.zeros(self.reps, dtype=np.int64)
 
     def transmit_probabilities(self, step: int) -> np.ndarray:
         return probabilities_from_exponents(self._u)
@@ -188,8 +189,6 @@ class VectorLESKPolicy(VectorUniformPolicy):
         nulls = active & (states == _NULL)
         collisions = active & (states == _COLLISION)
         singles = active & (states == _SINGLE)
-        self.nulls_seen += nulls
-        self.collisions_seen += collisions
         np.subtract(self._u, 1.0, out=self._u, where=nulls)
         if self.floor_at_zero:
             np.maximum(self._u, 0.0, out=self._u, where=nulls)
@@ -208,8 +207,6 @@ class VectorLESKPolicy(VectorUniformPolicy):
         self.reps = int(np.asarray(keep).size)
         self._u = self._u[keep]
         self._completed = self._completed[keep]
-        self.nulls_seen = self.nulls_seen[keep]
-        self.collisions_seen = self.collisions_seen[keep]
 
     def __repr__(self) -> str:
         return f"VectorLESKPolicy(eps={self.eps}, reps={self.reps})"

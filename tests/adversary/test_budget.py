@@ -138,7 +138,8 @@ def test_granted_sequence_is_always_bounded(requests, T, eps):
 )
 def test_grant_block_equals_successive_grants(requests, blocks, T, eps):
     """Granting blocks of wants decides each slot as slot-by-slot grants
-    do, whatever the block boundaries, and leaves the same budget state."""
+    do, whatever the block boundaries, returns those grants, and leaves
+    the same budget state."""
     slotwise = JammingBudget(T, eps)
     blockwise = JammingBudget(T, eps)
     start = 0
@@ -146,9 +147,9 @@ def test_grant_block_equals_successive_grants(requests, blocks, T, eps):
         if start >= len(requests):
             break
         wants = requests[start : start + size]
-        for want in wants:
-            slotwise.grant(want)
-        blockwise.grant_block(np.array(wants, dtype=bool))
+        expected = [slotwise.grant(want) for want in wants]
+        granted = blockwise.grant_block(np.array(wants, dtype=bool))
+        assert granted.dtype == bool and granted.tolist() == expected
         start += len(wants)
         assert (blockwise.slot, blockwise.jams_granted, blockwise.denied_requests) == (
             slotwise.slot,

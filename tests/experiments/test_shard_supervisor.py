@@ -10,6 +10,7 @@ duplicate work.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -28,6 +29,7 @@ from repro.experiments.cells import (
 from repro.experiments.faults import FaultPlan
 from repro.experiments.retry import RetryPolicy
 from repro.experiments.shard_supervisor import (
+    BLOCK_CHECKPOINT_FORMAT,
     BlockCheckpointStore,
     BlockSupervisor,
     ShardContext,
@@ -256,6 +258,30 @@ class TestBlockCheckpoints:
         )
         assert report.restored == 3 and report.completed == 1
         assert [_key(c) for c in results] == [_key(c) for c in _baseline()]
+
+    def test_file_text_is_the_sorted_key_dump(self, tmp_path):
+        # Checkpoints written by the two-dump form must still resume, so
+        # the text built around one encoding of the results is byte for
+        # byte the dump of the whole record.
+        store = BlockCheckpointStore(tmp_path)
+        key = store.block_key(SPEC, 4, 0)
+        results = run_cell_direct(SPEC)[:4]
+        digest = store.save(key, results)
+        jsonable = [r.to_jsonable() for r in results]
+        assert digest == hashlib.sha256(
+            json.dumps(jsonable, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        expected = json.dumps(
+            {
+                "format": BLOCK_CHECKPOINT_FORMAT,
+                "checksum": digest,
+                "results": jsonable,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert (tmp_path / f"block-{key}.json").read_text() == expected
+        assert [r.to_jsonable() for r in store.load(key)] == jsonable
 
     def test_tampered_payload_fails_checksum(self, tmp_path):
         store = BlockCheckpointStore(tmp_path)
