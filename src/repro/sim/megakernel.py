@@ -98,7 +98,7 @@ from repro.adversary.budget import JammingBudget
 from repro.adversary.vector import (
     BatchAdversaryView,
     BatchedAdversary,
-    VectorJammingStrategy,
+    schedule_refusal,
 )
 from repro.errors import ConfigurationError
 from repro.protocols.vector import (
@@ -550,8 +550,10 @@ def megakernel_eligibility(policy, adversary, *, n: int, faults=None) -> str | N
     """Return ``None`` when the fused fast path applies, else the reason
     the configuration must run per-slot (used as the fallback label).
 
-    The strategy must give slot 0 a want schedule, offered the state view
-    of the policy's ladder (of *n* stations) when its columns share one.
+    The adversary must pass
+    :func:`~repro.adversary.vector.schedule_refusal`, its strategy offered
+    the state view of the policy's ladder (of *n* stations) when its
+    columns share one.
     """
     if faults is not None:
         from repro.resilience.faults import FaultModel
@@ -560,21 +562,8 @@ def megakernel_eligibility(policy, adversary, *, n: int, faults=None) -> str | N
             return "faults"
     if type(policy) not in _LADDERS:
         return f"policy:{type(policy).__name__}"
-    if type(adversary) is not BatchedAdversary:
-        return f"adversary:{type(adversary).__name__}"
-    if adversary.budget.strict:
-        return "strict-budget"
-    strategy = adversary.strategy
-    name = getattr(strategy, "name", type(strategy).__name__)
-    if (
-        type(strategy).observe_outcomes
-        is not VectorJammingStrategy.observe_outcomes
-    ):
-        return f"strategy-feedback:{name}"
     ladder = _LADDERS[type(policy)](policy)
-    if strategy.want_schedule(0, 1, _state_view(ladder, n, 0, 1)) is None:
-        return f"strategy:{name}"
-    return None
+    return schedule_refusal(adversary, _state_view(ladder, n, 0, 1))
 
 
 def simulate_uniform_megakernel(
